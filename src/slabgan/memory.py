@@ -9,7 +9,9 @@ parameter gradients live until the optimizer step. The measured model
 instruments real tensor payload allocations during an actual step and
 captures the peak. Both count tensor payload bytes only (no allocator
 slack, no numpy temporaries inside ops), so trends rather than absolute
-megabytes are the meaningful output.
+megabytes are the meaningful output. The uncounted op workspace is about
+payload-sized: conv3d builds its im2col matrix in chunks of at most
+``tensor.CONV_WORKSPACE_BYTES``, so it no longer grows with the volume.
 """
 
 from __future__ import annotations

@@ -54,3 +54,24 @@ def gradcheck(op, arrays, h: float = 1e-5, tol: float = 1e-4) -> float:
         worst = max(worst, rel_err(t.grad, finite_difference(f, a.astype(np.float64), h)))
     assert worst < tol, f"gradient mismatch: rel err {worst:.3g}"
     return worst
+
+
+def conv3d_direct(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride=1, pad=0) -> np.ndarray:
+    """Nested-loop direct convolution; the correctness oracle for conv3d."""
+    stride = tuple(np.broadcast_to(stride, 3))
+    pad = tuple(np.broadcast_to(pad, 3))
+    cin, d, h, wdt = x.shape
+    cout, _, kd, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (pad[0], pad[0]), (pad[1], pad[1]), (pad[2], pad[2])))
+    od = (d + 2 * pad[0] - kd) // stride[0] + 1
+    oh = (h + 2 * pad[1] - kh) // stride[1] + 1
+    ow = (wdt + 2 * pad[2] - kw) // stride[2] + 1
+    out = np.zeros((cout, od, oh, ow), dtype=np.float64)
+    for co in range(cout):
+        for z in range(od):
+            for y in range(oh):
+                for xx in range(ow):
+                    z0, y0, x0 = z * stride[0], y * stride[1], xx * stride[2]
+                    patch = xp[:, z0:z0 + kd, y0:y0 + kh, x0:x0 + kw]
+                    out[co, z, y, xx] = float((patch * w[co]).sum()) + float(b[co])
+    return out.astype(x.dtype)

@@ -1,5 +1,7 @@
 """Full-volume generation/encoding, latent analysis, ridge probes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,23 @@ class TestGenerateFull:
     def test_latent_length_checked(self, nets):
         with pytest.raises(ShapeError):
             generate_full(nets, np.zeros(32, np.float32))
+
+    @pytest.mark.slow
+    def test_full_resolution_256_fits(self):
+        """The paper's 256^3 at desk widths decodes within 1 GB of traced
+        memory; a one-shot im2col of the last g_h conv alone is 7.2 GB."""
+        cfg = desk_config(full_resolution=256, base_channels=8)
+        big = build_model_set(cfg, np.random.default_rng(3))
+        z = np.random.default_rng(4).standard_normal(cfg.latent_dim).astype(np.float32)
+        tracemalloc.start()
+        try:
+            vol = generate_full(big, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vol.shape == (1, 256, 256, 256)
+        assert np.all(np.isfinite(vol)) and np.abs(vol).max() <= 1.0
+        assert peak < 2 ** 30, f"traced peak {peak / 2 ** 20:.0f} MB"
 
     def test_interior_matches_windowed_path(self, nets, z64):
         """Full decode agrees with the slab decode used during training on
