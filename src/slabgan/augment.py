@@ -16,8 +16,8 @@ import numpy as np
 from . import tensor as T
 from .inference import generate_full
 from .networks import NetConfig, build_classifier
-from .optim import ParamStore, adam_step
-from .tensor import Tensor, backward, no_grad
+from .optim import ParamStore, optimize
+from .tensor import Tensor, no_grad
 from .training import downsample_volume
 
 
@@ -51,9 +51,7 @@ def classifier_train(state: ClassifierState, volumes: np.ndarray, labels: np.nda
             loss = term if loss is None else T.add(loss, term)
         loss = T.mul(loss, 1.0 / len(idx))
         losses.append(loss.item())
-        backward(loss)
-        adam_step(state.store, lr)
-        state.store.zero_grads()
+        optimize(state.store, loss, lr)
         state.step += 1
     return losses
 

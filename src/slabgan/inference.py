@@ -15,7 +15,6 @@ import numpy as np
 import scipy.linalg
 
 from . import tensor as T
-from .geometry import split_volume
 from .networks import ModelSet
 from .tensor import Tensor, no_grad
 
@@ -61,15 +60,8 @@ def generate_full(nets: ModelSet, z: np.ndarray, c: int | None = None,
     Returns the (1, D, H, W) volume, or (high, low) with ``want_low``.
     """
     z = _check_latent(nets, z)
-    zin = z
-    if nets.cfg.num_classes:
-        if c is None:
-            raise ValueError("conditional model: class index required")
-        onehot = np.zeros(nets.cfg.num_classes, dtype=z.dtype)
-        onehot[c] = 1.0
-        zin = np.concatenate([z, onehot])
     with no_grad():
-        a = nets.g_a(Tensor(zin), training=False)
+        a = nets.g_a(nets.latent_input(Tensor(z), c), training=False)
         high = nets.g_h(a, training=False).data
         if want_low:
             low = nets.g_l(a, training=False).data
@@ -78,23 +70,16 @@ def generate_full(nets: ModelSet, z: np.ndarray, c: int | None = None,
 
 
 def encode_full(nets: ModelSet, vol: np.ndarray, c: int | None = None) -> LatentCode:
-    """Hierarchical encode: slab encoder over the depth partition, concat,
-    global encoder."""
+    """Hierarchical encode (``ModelSet.encode``) of a whole volume, without
+    gradients; ``c`` is recorded as the code's one-hot class."""
     arr = np.asarray(vol, dtype=np.float32)
     if arr.ndim == 3:
         arr = arr[None]
     cfg = nets.cfg
-    if arr.shape[1] % cfg.n_windows:
-        raise T.ShapeError(
-            f"depth {arr.shape[1]} not divisible into {cfg.n_windows} windows")
     with no_grad():
-        parts = split_volume(Tensor(arr), cfg.n_windows)
-        feats = [nets.e_h(p, training=False) for p in parts]
-        zhat = nets.e_g(T.concat(feats, axis=1), training=False).data
-    onehot = None
-    if cfg.num_classes and c is not None:
-        onehot = np.zeros(cfg.num_classes, dtype=np.float32)
-        onehot[c] = 1.0
+        zhat = nets.encode(Tensor(arr), training=False).data
+    onehot = (np.eye(cfg.num_classes, dtype=np.float32)[c]
+              if cfg.num_classes and c is not None else None)
     return LatentCode(z=zhat.copy(), class_onehot=onehot)
 
 

@@ -27,10 +27,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .geometry import split_volume
 from .layers import (Act, BatchNorm, Conv3d, Dense, Flatten, GroupNorm, Interp,
                      MeanPool, Reshape, Sequential)
 from .optim import ParamStore
-from .tensor import ShapeError, Tensor, concat, trilinear_interp
+from .tensor import ShapeError, Tensor, concat, no_grad
 
 # Interior agreement margin between windowed and full-volume decoding, in
 # feature-grid (low-resolution) slices. Derived from the receptive field
@@ -445,6 +446,34 @@ class ModelSet:
     def encoder_prefixes(self):
         return ("e_h/", "e_g/")
 
+    def latent_input(self, z: Tensor, c: int | None = None) -> Tensor:
+        """Input of ``g_a``: the latent ``z``, followed by the one-hot code of
+        class ``c`` when the model is class-conditional (``c`` is ignored
+        otherwise).
+
+        The code is appended with the ``concat`` op, so a ``z`` on the tape
+        (the global encoder's output during training) still receives its
+        gradient. Raises ValueError when a conditional model gets no class.
+        """
+        if not self.cfg.num_classes:
+            return z
+        if c is None:
+            raise ValueError("class-conditional model needs a class index")
+        return concat([z, Tensor(np.eye(self.cfg.num_classes, dtype=z.dtype)[c])], axis=0)
+
+    def encode(self, x: Tensor, training: bool = True) -> Tensor:
+        """Hierarchical encode of a (1, D, H, W) volume to the latent.
+
+        ``e_h`` runs on each window of the fixed depth partition
+        (``split_volume``), the features are concatenated along depth into
+        A-hat, and ``e_g`` maps A-hat to the latent. ``e_h`` runs under
+        no_grad, so only ``e_g`` can receive a gradient.
+        """
+        with no_grad():
+            parts = split_volume(x, self.cfg.n_windows)
+            ahat = concat([self.e_h(p, training) for p in parts], axis=1)
+        return self.e_g(ahat, training)
+
 
 def build_model_set(cfg: NetConfig, rng: np.random.Generator,
                     dtype=np.float32) -> ModelSet:
@@ -494,20 +523,3 @@ def summary(net, in_shape=None) -> str:
         shape_s = "x".join(str(s) for s in shape)
         lines.append(f"{name:16s}{kind:16s}{filt:22s}{shape_s}")
     return "\n".join(lines)
-
-
-def generate_volume(nets: ModelSet, z: np.ndarray, c: int | None = None,
-                    training: bool = False, want_low: bool = False):
-    """Full-volume decode: A = g_a(z[,c]); X = g_h(A) (and optionally g_l(A))."""
-    zin = z
-    if nets.cfg.num_classes:
-        if c is None:
-            raise ValueError("class-conditional model needs a class index")
-        onehot = np.zeros(nets.cfg.num_classes, dtype=z.dtype)
-        onehot[c] = 1.0
-        zin = np.concatenate([z, onehot])
-    a = nets.g_a(Tensor(zin), training)
-    high = nets.g_h(a, training)
-    if want_low:
-        return high, nets.g_l(a, training)
-    return high

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import METER, Tensor
+from .tensor import METER, Tensor, backward
 
 
 class ParamStore:
@@ -42,9 +42,6 @@ class ParamStore:
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]
 
-    def subset(self, prefix: str) -> dict[str, Tensor]:
-        return {k: v for k, v in self.params.items() if k.startswith(prefix)}
-
     def zero_grads(self) -> None:
         for p in self.params.values():
             p.zero_grad()
@@ -70,21 +67,15 @@ class ParamStore:
 
 
 def adam_step(store: ParamStore, lr: float, beta1: float = 0.0,
-              beta2: float = 0.999, eps: float = 1e-8,
-              prefixes=None) -> None:
+              beta2: float = 0.999, eps: float = 1e-8) -> None:
     """One bias-corrected Adam update over the trainable parameters.
 
-    Applies to parameters with ``requires_grad`` set (optionally further
-    restricted by name prefixes). A trainable parameter without a gradient
-    is a contract violation and raises. Gradients are left in place; the
-    caller zeroes them explicitly.
+    Applies to parameters with ``requires_grad`` set. A trainable parameter
+    without a gradient is a contract violation and raises. Gradients are
+    left in place; the caller zeroes them explicitly.
     """
-    if isinstance(prefixes, str):
-        prefixes = [prefixes]
     for name, p in store.params.items():
         if not p.requires_grad:
-            continue
-        if prefixes is not None and not any(name.startswith(pre) for pre in prefixes):
             continue
         if p.grad is None:
             raise RuntimeError(f"adam_step: trainable parameter '{name}' has no gradient")
@@ -106,3 +97,22 @@ def adam_step(store: ParamStore, lr: float, beta1: float = 0.0,
         vhat = v / (1.0 - beta2 ** t)
         p.data -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(p.data.dtype)
         state[2] = t
+
+
+def optimize(store: ParamStore, loss: Tensor, lr: float, clip_norm: float | None = None) -> None:
+    """One optimizer step on ``loss`` for the trainable parameters.
+
+    Runs ``backward``, rescales the gradients when their global L2 norm
+    (accumulated in float64) exceeds ``clip_norm``, applies ``adam_step``
+    with its default betas and eps, and zeroes every gradient.
+    """
+    backward(loss)
+    if clip_norm is not None:
+        grads = [p.grad for p in store.params.values()
+                 if p.requires_grad and p.grad is not None]
+        norm = np.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads))
+        if norm > clip_norm:
+            for g in grads:
+                g *= clip_norm / (norm + 1e-12)
+    adam_step(store, lr)
+    store.zero_grads()

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import interp_matrix, _apply_axis_matrix
+from .tensor import resample
 
 N_CLASSES = 5
 MIN_EXTENT = 16
@@ -39,11 +39,11 @@ def _ellipsoid_mask(extents, center, semi_axes) -> np.ndarray:
 
 
 def _smooth_noise(rng: np.random.Generator, extents, cells: int = 4) -> np.ndarray:
-    coarse = rng.standard_normal((cells, cells, cells))
-    out = coarse[None]
-    for ax, e in zip((1, 2, 3), extents):
-        out = _apply_axis_matrix(out, interp_matrix(out.shape[ax], e, align_corners=True), ax)
-    return out[0]
+    # resampled with a leading unit axis: the 3-axis form allocates the same
+    # bytes, yet it moved glibc's dynamic mmap threshold so that 128^3
+    # inference afterwards peaked about 25 MB higher in resident memory
+    coarse = rng.standard_normal((1, cells, cells, cells))
+    return resample(coarse, extents, align_corners=True)[0]
 
 
 def phantom_generate(seed: int, class_label: int, extents=(64, 64, 64)):

@@ -23,10 +23,10 @@ from . import tensor as T
 from .geometry import SliceWindow, sample_r
 from .layers import Act, Conv3d, GroupNorm, Interp, Sequential
 from .networks import NetConfig, build_d_h
-from .optim import ParamStore, adam_step
-from .tensor import Tensor, backward, no_grad
+from .optim import ParamStore, optimize
+from .tensor import Tensor, no_grad
 from .training import (TrainingDiverged, _encode_rng, gan_d_loss, gan_g_loss,
-                       l1_loss, read_store_checkpoint, write_store_checkpoint)
+                       read_checkpoint, restore_store, write_store_checkpoint)
 
 # interior agreement margin between slab and full-volume SR, in input
 # (low-resolution) slices
@@ -72,20 +72,11 @@ class PairedSample:
 def degrade(hr: np.ndarray, noise_sigma: float, rng: np.random.Generator) -> np.ndarray:
     """Noise then trilinear half-resolution downsample, clipped to [-1, 1]."""
     arr = np.asarray(hr, dtype=np.float32)
-    squeeze = arr.ndim == 3
-    if squeeze:
-        arr = arr[None]
-    if any(e % 2 for e in arr.shape[1:]):
-        raise T.ShapeError(f"degrade needs even extents, got {arr.shape[1:]}")
+    if any(e % 2 for e in arr.shape[-3:]):
+        raise T.ShapeError(f"degrade needs even extents, got {arr.shape[-3:]}")
     noisy = arr + rng.normal(0.0, noise_sigma, size=arr.shape).astype(np.float32)
     noisy = np.clip(noisy, -1.0, 1.0)
-    out = noisy
-    for ax in (1, 2, 3):
-        m = T.interp_matrix(out.shape[ax], out.shape[ax] // 2,
-                            align_corners=False, dtype=np.float32)
-        out = T._apply_axis_matrix(out, m, ax)
-    out = np.clip(out, -1.0, 1.0)
-    return out[0] if squeeze else out
+    return np.clip(T.resample(noisy, [e // 2 for e in arr.shape[-3:]]), -1.0, 1.0)
 
 
 def make_pairs(volumes, noise_sigma: float, rng: np.random.Generator):
@@ -96,14 +87,7 @@ def make_pairs(volumes, noise_sigma: float, rng: np.random.Generator):
 def upsample2(vol: np.ndarray) -> np.ndarray:
     """Trilinear x2 upsample of a (D, H, W) or (C, D, H, W) array."""
     arr = np.asarray(vol, dtype=np.float32)
-    squeeze = arr.ndim == 3
-    if squeeze:
-        arr = arr[None]
-    for ax in (1, 2, 3):
-        m = T.interp_matrix(arr.shape[ax], arr.shape[ax] * 2,
-                            align_corners=False, dtype=np.float32)
-        arr = T._apply_axis_matrix(arr, m, ax)
-    return arr[0] if squeeze else arr
+    return T.resample(arr, [2 * e for e in arr.shape[-3:]])
 
 
 class SRGenerator:
@@ -132,7 +116,6 @@ class SRGenerator:
             ("conv", Conv3d(c, 1, 3, 1, 1, zero_init=True)),
         ], in_shape=(c,) + tuple(2 * e for e in self.head.out_shape()[1:]))
         self.up_res = Interp(2.0, align_corners=False)
-        self.forward_count = 0
         self.built = False
 
     def build(self, store: ParamStore, rng: np.random.Generator, dtype=np.float32):
@@ -145,7 +128,6 @@ class SRGenerator:
         return sum(n.n_params() for n in (self.head, self.enc, self.dec, self.residual_head))
 
     def forward(self, lr: Tensor, training: bool = True) -> Tensor:
-        self.forward_count += 1
         h = self.head(lr, training)
         e = self.enc(h, training)
         d = self.dec(T.concat([self.up_dec.forward(e, training), h], axis=0), training)
@@ -196,18 +178,6 @@ def l1_norm(a: Tensor, b: Tensor) -> Tensor:
     return T.tsum(T.tabs(T.sub(a, b)))
 
 
-def sr_loss(disc, lr_sub: Tensor, hr_real: Tensor, hr_fake: Tensor, lam: float):
-    """Conditional GAN loss pair plus the weighted l1 reconstruction term.
-
-    Returns (d_loss, g_loss); each assumes the caller froze the other side.
-    """
-    logit_real, _ = disc(_disc_input(lr_sub, hr_real, True))
-    logit_fake, _ = disc(_disc_input(lr_sub, hr_fake, True))
-    d_loss = gan_d_loss(logit_real, logit_fake)
-    g_loss = T.add(gan_g_loss(logit_fake), T.mul(l1_norm(hr_fake, hr_real), lam))
-    return d_loss, g_loss
-
-
 def sr_train_step(state: SRState, pairs: list) -> dict:
     """One alternation (D step then G step) on a batch of PairedSamples."""
     cfg, store, rng = state.cfg, state.store, state.rng
@@ -233,9 +203,7 @@ def sr_train_step(state: SRState, pairs: list) -> dict:
         term = gan_d_loss(logit_real, logit_fake)
         d_t += term.item()
         loss = term if loss is None else T.add(loss, term)
-    backward(T.mul(loss, 1.0 / len(pairs)))
-    adam_step(store, cfg.lr_d)
-    store.zero_grads()
+    optimize(store, T.mul(loss, 1.0 / len(pairs)), cfg.lr_d)
     report["d"] = d_t / len(pairs)
 
     # generator step
@@ -254,9 +222,7 @@ def sr_train_step(state: SRState, pairs: list) -> dict:
         g_t += adv.item()
         l1_t += rec.item() / hr_t.size      # per-voxel value for the log
         loss = term if loss is None else T.add(loss, term)
-    backward(T.mul(loss, 1.0 / len(pairs)))
-    adam_step(store, cfg.lr_g)
-    store.zero_grads()
+    optimize(store, T.mul(loss, 1.0 / len(pairs)), cfg.lr_g)
     report["g_adv"] = g_t / len(pairs)
     report["l1"] = l1_t / len(pairs)
 
@@ -293,10 +259,8 @@ def sr_infer(state: SRState, lr_full: np.ndarray) -> np.ndarray:
     arr = np.asarray(lr_full, dtype=np.float32)
     if arr.ndim == 3:
         arr = arr[None]
-    before = state.gen.forward_count
     with no_grad():
         out = state.gen(Tensor(arr), training=False).data
-    assert state.gen.forward_count == before + 1
     return out
 
 
@@ -307,14 +271,10 @@ def sr_save(state: SRState, path) -> None:
 
 
 def sr_load(path, state: SRState | None = None) -> SRState:
+    header, body = read_checkpoint(path, "sr")
     if state is None:
-        import struct as _s
-        with open(path, "rb") as f:
-            raw = f.read()
-        (hlen,) = _s.unpack_from("<I", raw, 6)
-        header = json.loads(raw[10:10 + hlen].decode())
         state = build_sr(SRConfig(**header["config"]), seed=0)
-    header = read_store_checkpoint(path, state.store)
+    restore_store(state.store, header, body)
     state.step = header["step"]
     state.rng.bit_generator.state = header["rng_state"]
     return state

@@ -107,9 +107,6 @@ class MemoryMeter:
         self.opt_bytes += nbytes
         self._bump()
 
-    def release_opt(self, nbytes: int) -> None:
-        self.opt_bytes -= nbytes
-
     def release_cell(self, cell) -> None:
         if cell[2]:
             self.param_bytes -= cell[0]
@@ -228,9 +225,6 @@ class Tensor:
         if self.grad is not None:
             METER.release_grad(self._meter_cell)
             self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
 
     # -- operator sugar -------------------------------------------------------
     def __add__(self, other):
@@ -869,6 +863,20 @@ def _apply_axis_matrix(arr: np.ndarray, m: np.ndarray, axis: int) -> np.ndarray:
     res = m @ flat
     res = res.reshape((m.shape[0],) + moved.shape[1:])
     return np.ascontiguousarray(np.moveaxis(res, 0, axis))
+
+
+def resample(arr: np.ndarray, extents, align_corners: bool = False) -> np.ndarray:
+    """Linear resampling of the last three axes of a numpy array to ``extents``.
+
+    Separable: one ``interp_matrix`` per axis, built in ``arr.dtype`` and
+    applied D, then H, then W. Plain numpy, no tape; ``resize3d`` is the
+    differentiable counterpart.
+    """
+    out = arr
+    for ax, n in zip(range(arr.ndim - 3, arr.ndim), extents):
+        out = _apply_axis_matrix(out, interp_matrix(out.shape[ax], n, align_corners,
+                                                    dtype=arr.dtype), ax)
+    return out
 
 
 def resize3d(x: Tensor, mats) -> Tensor:

@@ -15,6 +15,7 @@ the saturating textbook form is available behind a flag.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from dataclasses import dataclass, asdict
@@ -22,11 +23,10 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import tensor as T
-from .geometry import (SliceWindow, deterministic_windows, sample_r,
-                       select_low, split_volume)
+from .geometry import SliceWindow, deterministic_windows, sample_r, select_low
 from .networks import ModelSet, NetConfig, build_model_set
-from .optim import adam_step
-from .tensor import Tensor, backward, no_grad
+from .optim import optimize
+from .tensor import Tensor, no_grad
 
 
 class TrainingDiverged(RuntimeError):
@@ -71,13 +71,7 @@ def class_loss(class_logits: Tensor, label: int) -> Tensor:
 
 def downsample_volume(vol: np.ndarray, factor: int) -> np.ndarray:
     """Trilinear box-style downsample of a (D, H, W) volume by 1/factor."""
-    arr = vol[None] if vol.ndim == 3 else vol
-    mats = [T.interp_matrix(n, n // factor, align_corners=False, dtype=arr.dtype)
-            for n in arr.shape[1:]]
-    out = arr
-    for ax, m in zip((1, 2, 3), mats):
-        out = T._apply_axis_matrix(out, m, ax)
-    return out[0] if vol.ndim == 3 else out
+    return T.resample(vol, [n // factor for n in vol.shape[-3:]])
 
 
 @dataclass
@@ -89,9 +83,6 @@ class TrainState:
     lr_g: float = 1e-4
     lr_d: float = 4e-4
     lr_e: float = 1e-4
-    beta1: float = 0.0
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     batch_size: int = 2
     step: int = 0
     saturating: bool = False
@@ -122,33 +113,11 @@ def _only_trainable(state: TrainState, prefixes) -> None:
     store.set_trainable(list(prefixes), True)
 
 
-def _clip_grads(state: TrainState) -> None:
-    if state.clip_norm is None:
-        return
-    total = 0.0
-    grads = [p.grad for p in state.store.params.values()
-             if p.requires_grad and p.grad is not None]
-    for g in grads:
-        total += float((g.astype(np.float64) ** 2).sum())
-    norm = np.sqrt(total)
-    if norm > state.clip_norm:
-        scale = state.clip_norm / (norm + 1e-12)
-        for g in grads:
-            g *= scale
-
-
-def _sample_latent(state: TrainState) -> np.ndarray:
+def _sample_latent(state: TrainState, label: int | None) -> Tensor:
+    """Generator input for a fresh standard-normal latent (and class)."""
     z = state.rng.standard_normal(state.cfg.latent_dim)
-    return z.astype(state.store.params["g_a/dense/weight"].dtype)
-
-
-def _latent_input(state: TrainState, z: np.ndarray, label: int | None) -> Tensor:
-    cfg = state.cfg
-    if cfg.num_classes:
-        onehot = np.zeros(cfg.num_classes, dtype=z.dtype)
-        onehot[label] = 1.0
-        z = np.concatenate([z, onehot])
-    return Tensor(z)
+    return state.nets.latent_input(
+        Tensor(z.astype(state.store.params["g_a/dense/weight"].dtype)), label)
 
 
 def _generate_windowed(state: TrainState, z: Tensor, w: SliceWindow, training=True):
@@ -161,25 +130,6 @@ def _generate_windowed(state: TrainState, z: Tensor, w: SliceWindow, training=Tr
     return fake_low, fake_sub
 
 
-def hierarchical_encode(state_or_nets, x_high: Tensor, training=True) -> Tensor:
-    """Partition -> slab encoder -> concat -> global encoder."""
-    nets = state_or_nets.nets if isinstance(state_or_nets, TrainState) else state_or_nets
-    cfg = nets.cfg
-    parts = split_volume(x_high, cfg.n_windows)
-    feats = [nets.e_h(p, training) for p in parts]
-    ahat = T.concat(feats, axis=1)
-    return nets.e_g(ahat, training)
-
-
-def _decode_from_latent(state: TrainState, zhat: Tensor, label: int | None, training=True):
-    cfg = state.cfg
-    if cfg.num_classes:
-        onehot = np.zeros(cfg.num_classes, dtype=zhat.dtype)
-        onehot[label] = 1.0
-        zhat = T.concat([zhat, Tensor(onehot)], axis=0)
-    return state.nets.g_a(zhat, training)
-
-
 def _current_window(state: TrainState) -> SliceWindow:
     cfg = state.cfg
     if state.deterministic_r:
@@ -189,20 +139,6 @@ def _current_window(state: TrainState) -> SliceWindow:
         return cyc[state.step % len(cyc)]
     return sample_r(cfg.low_resolution, cfg.subvol_depth_low, state.rng,
                     resolution_scale=4)
-
-
-def gan_loss_pair(disc, real: Tensor, fake: Tensor, saturating: bool = False):
-    """(d_loss, g_loss) for one discriminator on a real/fake pair.
-
-    The discriminator loss sees the fake as a constant; the generator loss
-    keeps the graph through the fake.
-    """
-    logit_real, _ = disc(real)
-    logit_fake, _ = disc(fake.detach() if fake.requires_grad else fake)
-    d_loss = gan_d_loss(logit_real, logit_fake)
-    logit_fake_g, _ = disc(fake)
-    g_loss = gan_g_loss(logit_fake_g, saturating)
-    return d_loss, g_loss
 
 
 def recon_slab_loss(state: TrainState, vol: np.ndarray, w: SliceWindow) -> Tensor:
@@ -218,13 +154,8 @@ def recon_global_loss(state: TrainState, vol: np.ndarray, low: np.ndarray,
                       w: SliceWindow, label: int | None = None) -> Tensor:
     """Low-res plus windowed high-res reconstruction error from the full
     hierarchical encoding; only e_g is meant to learn from it."""
-    nets, cfg = state.nets, state.cfg
-    x_high = Tensor(vol[None])
-    with no_grad():
-        parts = split_volume(x_high, cfg.n_windows)
-        ahat = T.concat([nets.e_h(p) for p in parts], axis=1)
-    zhat = nets.e_g(ahat)
-    a = _decode_from_latent(state, zhat, label)
+    nets = state.nets
+    a = nets.g_a(nets.latent_input(nets.encode(Tensor(vol[None])), label))
     rec_low = nets.g_l(a)
     rec_sub = nets.g_h(select_low(a, w))
     return T.add(l1_loss(rec_low, Tensor(low[None])),
@@ -252,12 +183,6 @@ def train_step(state: TrainState, batch_high: list, labels: list | None = None,
     lows = [downsample_volume(v, 4) for v in batch_high]
     report = {"step": state.step, "r": w.start}
 
-    def _optimize(loss, lr):
-        backward(loss)
-        _clip_grads(state)
-        adam_step(store, lr, state.beta1, state.beta2, state.adam_eps)
-        store.zero_grads()
-
     # ---- phase 1: discriminators -------------------------------------------
     if "d" in phases:
         _only_trainable(state, nets.discriminator_prefixes)
@@ -265,7 +190,7 @@ def train_step(state: TrainState, batch_high: list, labels: list | None = None,
         loss = None
         for vol, low, lab in zip(batch_high, lows, labels):
             with no_grad():
-                z = _latent_input(state, _sample_latent(state), lab)
+                z = _sample_latent(state, lab)
                 fake_low, fake_sub = _generate_windowed(state, z, w)
             real_low = Tensor(low[None])
             real_sub = Tensor(select_high_np(vol, w))
@@ -284,7 +209,7 @@ def train_step(state: TrainState, batch_high: list, labels: list | None = None,
             d_low_t += d_low.item()
             d_high_t += d_high.item()
             loss = term if loss is None else T.add(loss, term)
-        _optimize(T.mul(loss, 1.0 / n), state.lr_d)
+        optimize(store, T.mul(loss, 1.0 / n), state.lr_d, state.clip_norm)
         report["d_low"] = d_low_t / n
         report["d_high"] = d_high_t / n
         if conditional:
@@ -296,7 +221,7 @@ def train_step(state: TrainState, batch_high: list, labels: list | None = None,
         g_low_t = g_high_t = 0.0
         loss = None
         for lab in labels:
-            z = _latent_input(state, _sample_latent(state), lab)
+            z = _sample_latent(state, lab)
             fake_low, fake_sub = _generate_windowed(state, z, w)
             lf_logit, lf_cls = nets.d_l(fake_low)
             hf_logit, hf_cls = nets.d_h(fake_sub)
@@ -308,7 +233,7 @@ def train_step(state: TrainState, batch_high: list, labels: list | None = None,
             g_low_t += g_low.item()
             g_high_t += g_high.item()
             loss = term if loss is None else T.add(loss, term)
-        _optimize(T.mul(loss, 1.0 / n), state.lr_g)
+        optimize(store, T.mul(loss, 1.0 / n), state.lr_g, state.clip_norm)
         report["g_low"] = g_low_t / n
         report["g_high"] = g_high_t / n
 
@@ -321,7 +246,7 @@ def train_step(state: TrainState, batch_high: list, labels: list | None = None,
             term = recon_slab_loss(state, vol, w)
             rec_h_t += term.item()
             loss = term if loss is None else T.add(loss, term)
-        _optimize(T.mul(loss, state.weights.lambda1 / n), state.lr_e)
+        optimize(store, T.mul(loss, state.weights.lambda1 / n), state.lr_e, state.clip_norm)
         report["rec_h"] = rec_h_t / n
 
     # ---- phase 4: global encoder (only e_g updates) --------------------------
@@ -333,7 +258,7 @@ def train_step(state: TrainState, batch_high: list, labels: list | None = None,
             term = recon_global_loss(state, vol, low, w, lab)
             rec_g_t += term.item()
             loss = term if loss is None else T.add(loss, term)
-        _optimize(T.mul(loss, state.weights.lambda2 / n), state.lr_e)
+        optimize(store, T.mul(loss, state.weights.lambda2 / n), state.lr_e, state.clip_norm)
         report["rec_g"] = rec_g_t / n
 
     state.step += 1
@@ -387,7 +312,11 @@ def _pack_entry(out: list, name: str, arr: np.ndarray) -> None:
 
 
 def write_store_checkpoint(path, store, header: dict) -> None:
-    """Serialize a ParamStore (params, buffers, Adam state) plus a JSON header."""
+    """Serialize a ParamStore (params, buffers, Adam state) plus a JSON header.
+
+    The file is written to ``path + ".tmp"``, synced, then renamed over
+    ``path``: a write that fails part-way leaves the previous file intact.
+    """
     header = dict(header)
     header["adam_t"] = {k: v[2] for k, v in store.adam_state.items()}
     hb = json.dumps(header, sort_keys=True).encode()
@@ -400,30 +329,49 @@ def write_store_checkpoint(path, store, header: dict) -> None:
         _pack_entry(body, f"adam_m:{name}", m)
         _pack_entry(body, f"adam_v:{name}", v)
     blob = b"".join(body)
-    with open(path, "wb") as f:
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as f:
         f.write(_MAGIC)
         f.write(blob)
         f.write(struct.pack("<I", zlib.crc32(blob)))
+        f.flush()
+        os.fsync(f.fileno())
+    os.replace(tmp, path)
 
 
-def read_store_checkpoint(path, store) -> dict:
-    """Restore a ParamStore from disk; returns the header. Verifies magic,
-    version, checksum, known names and shapes."""
+def read_checkpoint(path, kind: str) -> tuple[dict, bytes]:
+    """Read and verify a checkpoint file; returns (header, entry bytes).
+
+    Checks, in this order: the magic, the CRC of everything after it, the
+    format version; only then is the JSON header parsed and its "kind"
+    ("hagan" or "sr") compared with ``kind``. Any failure raises
+    CheckpointError. ``restore_store`` loads the entries.
+    """
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:4] != _MAGIC:
         raise CheckpointError("bad magic: not a checkpoint file")
-    blob, (crc,) = raw[4:-4], struct.unpack("<I", raw[-4:])
-    if zlib.crc32(blob) != crc:
+    blob = raw[4:-4]
+    if len(raw) < 14 or zlib.crc32(blob) != struct.unpack("<I", raw[-4:])[0]:
         raise CheckpointError("checksum mismatch: checkpoint corrupt or truncated")
-    (version,) = struct.unpack_from("<H", blob, 0)
+    version, hlen = struct.unpack_from("<HI", blob, 0)
     if version != _VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    (hlen,) = struct.unpack_from("<I", blob, 2)
     header = json.loads(blob[6:6 + hlen].decode())
+    if header.get("kind") != kind:
+        raise CheckpointError(f"checkpoint kind {header.get('kind')!r}, expected {kind!r}")
+    return header, blob[6 + hlen:]
+
+
+def restore_store(store, header: dict, body: bytes) -> None:
+    """Load the entries of a verified checkpoint into a ParamStore.
+
+    Every stored name must exist in the store with the stored shape, and
+    every parameter of the store must be present.
+    """
     adam_t = header["adam_t"]
     seen = set()
-    for name, arr in _read_entries(blob[6 + hlen:]):
+    for name, arr in _read_entries(body):
         kind, key = name.split(":", 1)
         if kind == "param":
             if key not in store.params:
@@ -457,7 +405,6 @@ def read_store_checkpoint(path, store) -> dict:
     missing = {f"param:{k}" for k in store.params} - seen
     if missing:
         raise CheckpointError(f"checkpoint missing parameters: {sorted(missing)[:5]}")
-    return header
 
 
 def save_checkpoint(state: TrainState, path) -> None:
@@ -506,20 +453,15 @@ def load_checkpoint(path, state: TrainState | None = None) -> TrainState:
     (loading across configurations is an explicit error). Without one, a
     fresh state is built from the stored config.
     """
+    header, body = read_checkpoint(path, "hagan")
     if state is None:
-        with open(path, "rb") as f:
-            raw = f.read()
-        if raw[:4] != _MAGIC:
-            raise CheckpointError("bad magic: not a checkpoint file")
-        (hlen,) = struct.unpack_from("<I", raw, 6)
-        header = json.loads(raw[10:10 + hlen].decode())
         cfg = NetConfig(**header["config"]).validate()
         state = init_train_state(cfg, seed=0, weights=LossWeights(**header["weights"]))
         state.lr_g, state.lr_d, state.lr_e = header["lr"]
         state.batch_size = header["batch_size"]
         state.saturating = header["saturating"]
         state.deterministic_r = header["deterministic_r"]
-    header = read_store_checkpoint(path, state.store)
+    restore_store(state.store, header, body)
     state.step = header["step"]
     state.rng.bit_generator.state = header["rng_state"]
     return state

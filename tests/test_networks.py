@@ -273,12 +273,24 @@ class TestSummary:
         assert "3x3x3" in text
         assert "Tanh" in text
 
+    def test_latent_input(self):
+        z = Tensor(np.arange(3, dtype=np.float32), requires_grad=True)
+        plain = build_model_set(NetConfig(full_resolution=32, latent_dim=3),
+                                np.random.default_rng(17))
+        assert plain.latent_input(z, 2) is z
+        cond = build_model_set(NetConfig(full_resolution=32, latent_dim=3, num_classes=4),
+                               np.random.default_rng(17))
+        zin = cond.latent_input(z, 2)
+        assert np.array_equal(zin.data, [0, 1, 2, 0, 0, 1, 0])
+        assert zin.requires_grad          # recorded on the tape, z gets a gradient
+        with pytest.raises(ValueError):
+            cond.latent_input(z, None)
+
     def test_generate_volume_roundtrip_shape(self):
-        from slabgan.networks import generate_volume
+        from slabgan.inference import generate_full
         nets = build_model_set(DESK, np.random.default_rng(15))
         z = np.random.default_rng(16).standard_normal(64).astype(np.float32)
-        with no_grad():
-            high, low = generate_volume(nets, z, want_low=True, training=False)
+        high, low = generate_full(nets, z, want_low=True)
         assert high.shape == (1, 64, 64, 64)
         assert low.shape == (1, 16, 16, 16)
-        assert np.abs(high.data).max() < 1.0
+        assert np.abs(high).max() < 1.0

@@ -9,7 +9,8 @@ import pytest
 
 from conftest import conv3d_direct, finite_difference, gradcheck, rel_err
 from slabgan import tensor as T
-from slabgan.optim import ParamStore, adam_step
+from slabgan import optim
+from slabgan.optim import ParamStore, adam_step, optimize
 from slabgan.tensor import GraphError, NonFiniteError, ShapeError, Tensor
 
 
@@ -185,6 +186,19 @@ class TestInterp:
         out = T.trilinear_interp(Tensor(x), 0.5, align_corners=False).data
         manual = x.reshape(1, 2, 2, 2, 2, 2, 2).mean(axis=(2, 4, 6))
         assert np.allclose(out, manual, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_resample_matches_differentiable_interp(self, dtype):
+        x = np.random.default_rng(2).standard_normal((2, 4, 6, 8)).astype(dtype)
+        out = T.resample(x, (8, 12, 16))
+        assert out.dtype == dtype
+        assert np.array_equal(out, T.trilinear_interp(Tensor(x), 2.0).data)
+
+    def test_resample_three_axis_input(self):
+        x = np.random.default_rng(3).standard_normal((8, 6, 4)).astype(np.float32)
+        out = T.resample(x, (4, 12, 5), align_corners=True)
+        assert out.shape == (4, 12, 5)
+        assert np.array_equal(out, T.resample(x[None], (4, 12, 5), align_corners=True)[0])
 
 
 class TestGroupNorm:
@@ -428,6 +442,32 @@ class TestAdam:
         p.grad = np.array([1.0])
         adam_step(store, lr=1e-3)
         assert store.adam_state["net/w"][2] == 2
+
+    def _loss_store(self):
+        store = ParamStore()
+        p = store.register("net/w", Tensor(np.array([3.0, -4.0])))
+        frozen = store.register("net/f", Tensor(np.array([1.0])))
+        frozen.requires_grad = False
+        return store, p, T.tsum(T.mul(T.square(p), 2.0))     # gradient 4 w
+
+    def test_optimize_steps_and_zeroes(self):
+        store, p, loss = self._loss_store()
+        optimize(store, loss, lr=0.1)
+        assert np.allclose(p.data, [2.9, -3.9])
+        assert p.grad is None and len(T.active_tape()) == 0
+        assert list(store.adam_state) == ["net/w"]
+
+    def test_optimize_clips_global_norm(self, monkeypatch):
+        store, p, loss = self._loss_store()
+        seen = []
+
+        def record(st, lr):
+            seen.append(p.grad.copy())
+            adam_step(st, lr)
+        monkeypatch.setattr(optim, "adam_step", record)
+        optimize(store, loss, lr=0.1, clip_norm=2.0)
+        # gradient (12, -16) has norm 20; clipping rescales it to norm 2
+        assert np.allclose(seen[0], [1.2, -1.6])
 
 
 class TestFiniteDifferencePrimitives:

@@ -7,18 +7,18 @@ from dataclasses import replace
 
 from conftest import finite_difference, rel_err
 from slabgan import tensor as T
+from slabgan import training
 from slabgan.geometry import SliceWindow
 from slabgan.networks import build_model_set, desk_config
 from slabgan.optim import adam_step
 from slabgan.phantoms import phantom_dataset
-from slabgan.tensor import Tensor, backward, no_grad
+from slabgan.tensor import Tensor, backward
 from slabgan.training import (CheckpointError, LossWeights, TrainingDiverged,
                               _only_trainable, class_loss, downsample_volume,
                               format_report, gan_d_loss, gan_g_loss,
-                              gan_loss_pair, init_train_state, l1_loss,
-                              load_checkpoint, recon_global_loss,
-                              recon_slab_loss, save_checkpoint,
-                              select_high_np, train_step)
+                              init_train_state, l1_loss, load_checkpoint,
+                              recon_global_loss, recon_slab_loss,
+                              save_checkpoint, select_high_np, train_step)
 
 LOG2 = float(np.log(2.0))
 
@@ -141,6 +141,13 @@ class TestReconLosses:
                 assert p.grad is None, name
         state.store.zero_grads()
 
+    def test_conditional_global_recon_needs_label(self):
+        state = tiny_state(6, num_classes=5)
+        vol = np.random.default_rng(7).uniform(-1, 1, (32, 32, 32)).astype(np.float32)
+        w = SliceWindow(0, state.cfg.subvol_depth_low, resolution_scale=4)
+        with pytest.raises(ValueError):
+            recon_global_loss(state, vol, downsample_volume(vol, 4), w, label=None)
+
     def test_zero_when_reconstruction_exact(self):
         x = Tensor(np.full((1, 3, 3, 3), 0.3))
         assert l1_loss(x, Tensor(x.data.copy())).item() == 0.0
@@ -154,19 +161,22 @@ class TestReconLosses:
 
 
 class TestUpdateIsolation:
-    @pytest.mark.parametrize("phase,changed", [
-        ("d", ("d_l/", "d_h/")),
-        ("g", ("g_a/", "g_l/", "g_h/")),
-        ("eh", ("e_h/",)),
-        ("eg", ("e_g/",)),
-    ])
-    def test_phase_touches_only_its_group(self, phase, changed):
-        state = tiny_state(8)
+    # the conditional case sends e_g's gradient through the class-code concat
+    @pytest.mark.parametrize("phase,changed,num_classes", [
+        ("d", ("d_l/", "d_h/"), None),
+        ("g", ("g_a/", "g_l/", "g_h/"), None),
+        ("eh", ("e_h/",), None),
+        ("eg", ("e_g/",), None),
+        ("eg", ("e_g/",), 5),
+    ], ids=["d-changed0", "g-changed1", "eh-changed2", "eg-changed3", "eg-conditional"])
+    def test_phase_touches_only_its_group(self, phase, changed, num_classes):
+        state = tiny_state(8, num_classes=num_classes)
         vols = [np.random.default_rng(9 + i).uniform(-1, 1, (32, 32, 32)).astype(np.float32)
                 for i in range(2)]
+        labels = [1, 3] if num_classes else None
         groups = ("g_a/", "g_l/", "g_h/", "d_l/", "d_h/", "e_h/", "e_g/")
         before = {g: state.store.parameter_hash(g) for g in groups}
-        train_step(state, vols, phases=(phase,))
+        train_step(state, vols, labels, phases=(phase,))
         after = {g: state.store.parameter_hash(g) for g in groups}
         for g in groups:
             if g in changed:
@@ -300,6 +310,54 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="checksum"):
             load_checkpoint(path)
 
+    def test_corrupt_header_fails_checksum(self, tmp_path):
+        state, _ = self._state_and_batch(29)
+        path = tmp_path / "ck.bin"
+        save_checkpoint(state, path)
+        raw = bytearray(path.read_bytes())
+        raw[12] ^= 0xFF                      # inside the JSON header
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="checksum"):
+            load_checkpoint(path)
+
+    def test_sr_checkpoint_rejected(self, tmp_path):
+        from slabgan.sr import SRConfig, build_sr, sr_save
+        path = tmp_path / "sr.bin"
+        sr_save(build_sr(SRConfig(hr_resolution=32, subvol_len=4).validate(), seed=30), path)
+        with pytest.raises(CheckpointError, match="kind"):
+            load_checkpoint(path)
+
+    def test_failed_write_keeps_previous(self, tmp_path, monkeypatch):
+        state, vols = self._state_and_batch(31)
+        path = tmp_path / "ck.bin"
+        save_checkpoint(state, path)
+        saved = state.store.parameter_hash()
+        train_step(state, vols)
+
+        class HalfWrite:
+            """A file that fails half-way through its second write."""
+            def __init__(self, name, mode):
+                self.f, self.writes = open(name, mode), 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, b):
+                self.writes += 1
+                if self.writes == 2:
+                    self.f.write(b[:len(b) // 2])
+                    raise OSError("disk full")
+                return self.f.write(b)
+
+        monkeypatch.setattr(training, "open", HalfWrite, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(state, path)
+        monkeypatch.undo()
+        assert load_checkpoint(path).store.parameter_hash() == saved
+
     def test_cross_config_shape_error(self, tmp_path):
         state, _ = self._state_and_batch(28)
         path = tmp_path / "ck.bin"
@@ -308,15 +366,3 @@ class TestCheckpoint:
             desk_config(full_resolution=32, latent_dim=16, base_channels=8), seed=0)
         with pytest.raises(CheckpointError, match="shape mismatch"):
             load_checkpoint(path, other)
-
-
-class TestGanLossPair:
-    def test_pair_matches_components(self):
-        state = tiny_state(29)
-        rng = np.random.default_rng(30)
-        low = state.cfg.low_resolution
-        real = Tensor(rng.uniform(-1, 1, (1, low, low, low)).astype(np.float32))
-        fake = Tensor(rng.uniform(-1, 1, (1, low, low, low)).astype(np.float32))
-        with no_grad():
-            d_loss, g_loss = gan_loss_pair(state.nets.d_l, real, fake)
-        assert d_loss.item() >= 0 and g_loss.item() >= 0
