@@ -118,3 +118,21 @@ def concat_subvolumes(parts) -> Tensor:
             raise ShapeError(f"concat_subvolumes shape mismatch: {[p.shape for p in parts]}")
     from .tensor import concat
     return concat(parts, axis=1)
+
+
+def check_volume(vol, shape) -> np.ndarray:
+    """A volume as an array of exactly ``shape``, finite, in [-1, 1].
+
+    A leading unit channel axis is dropped. A wrong shape raises
+    ShapeError; a non-finite value or one outside [-1, 1] raises
+    ValueError. Both are ValueErrors, raised before any work is done.
+    """
+    arr = np.asarray(vol)
+    if arr.ndim == len(shape) + 1 and arr.shape[0] == 1:
+        arr = arr[0]
+    if arr.shape != tuple(shape):
+        raise ShapeError(f"volume of shape {arr.shape}, expected {tuple(shape)}")
+    lo, hi = arr.min(), arr.max()          # NaN compares false below
+    if not (-1.0 <= lo and hi <= 1.0):
+        raise ValueError(f"volume values must be finite and in [-1, 1], got [{lo}, {hi}]")
+    return arr

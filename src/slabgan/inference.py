@@ -15,6 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from . import tensor as T
+from .geometry import check_volume
 from .networks import ModelSet
 from .tensor import Tensor, no_grad
 
@@ -71,13 +72,13 @@ def generate_full(nets: ModelSet, z: np.ndarray, c: int | None = None,
 
 def encode_full(nets: ModelSet, vol: np.ndarray, c: int | None = None) -> LatentCode:
     """Hierarchical encode (``ModelSet.encode``) of a whole volume, without
-    gradients; ``c`` is recorded as the code's one-hot class."""
-    arr = np.asarray(vol, dtype=np.float32)
-    if arr.ndim == 3:
-        arr = arr[None]
+    gradients; ``c`` is recorded as the code's one-hot class. The volume,
+    (D, H, W) or (1, D, H, W), must be finite, in [-1, 1] and of the
+    model's full resolution (ValueError otherwise)."""
     cfg = nets.cfg
+    arr = check_volume(vol, (cfg.full_resolution,) * 3).astype(np.float32, copy=False)
     with no_grad():
-        zhat = nets.encode(Tensor(arr), training=False).data
+        zhat = nets.encode(Tensor(arr[None]), training=False).data
     onehot = (np.eye(cfg.num_classes, dtype=np.float32)[c]
               if cfg.num_classes and c is not None else None)
     return LatentCode(z=zhat.copy(), class_onehot=onehot)

@@ -225,7 +225,7 @@ class Interp(Layer):
             scale = (scale,) * 3
         self.scale = tuple(float(s) for s in scale)
         self.align_corners = align_corners
-        self._mats = {}
+        self._plans = {}
 
     def out_shape(self, in_shape):
         c, d, h, w = in_shape
@@ -242,13 +242,13 @@ class Interp(Layer):
 
     def forward(self, x, training):
         key = x.shape[1:] + (x.dtype.char,)
-        mats = self._mats.get(key)
-        if mats is None:
+        plans = self._plans.get(key)
+        if plans is None:
             out = self.out_shape(x.shape)
-            mats = tuple(T.interp_matrix(n_in, n_out, self.align_corners, dtype=x.dtype)
-                         for n_in, n_out in zip(x.shape[1:], out[1:]))
-            self._mats[key] = mats
-        return T.resize3d(x, mats)
+            plans = tuple(T.interp_plan(n_in, n_out, self.align_corners, x.dtype)
+                          for n_in, n_out in zip(x.shape[1:], out[1:]))
+            self._plans[key] = plans
+        return T.resize3d(x, plans)
 
 
 class Reshape(Layer):

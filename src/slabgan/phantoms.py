@@ -39,11 +39,8 @@ def _ellipsoid_mask(extents, center, semi_axes) -> np.ndarray:
 
 
 def _smooth_noise(rng: np.random.Generator, extents, cells: int = 4) -> np.ndarray:
-    # resampled with a leading unit axis: the 3-axis form allocates the same
-    # bytes, yet it moved glibc's dynamic mmap threshold so that 128^3
-    # inference afterwards peaked about 25 MB higher in resident memory
-    coarse = rng.standard_normal((1, cells, cells, cells))
-    return resample(coarse, extents, align_corners=True)[0]
+    coarse = rng.standard_normal((cells, cells, cells))
+    return resample(coarse, extents, align_corners=True)
 
 
 def phantom_generate(seed: int, class_label: int, extents=(64, 64, 64)):

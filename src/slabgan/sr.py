@@ -20,13 +20,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor as T
-from .geometry import SliceWindow, sample_r
+from .geometry import SliceWindow, check_volume, sample_r
 from .layers import Act, Conv3d, GroupNorm, Interp, Sequential
 from .networks import NetConfig, build_d_h
 from .optim import ParamStore, optimize
 from .tensor import Tensor, no_grad
-from .training import (TrainingDiverged, _encode_rng, gan_d_loss, gan_g_loss,
-                       read_checkpoint, restore_store, write_store_checkpoint)
+from .training import (_encode_rng, checked_loss, gan_d_loss, gan_g_loss, read_checkpoint,
+                       restore_store, step_guard, write_store_checkpoint)
 
 # interior agreement margin between slab and full-volume SR, in input
 # (low-resolution) slices
@@ -179,7 +179,26 @@ def l1_norm(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sr_train_step(state: SRState, pairs: list) -> dict:
-    """One alternation (D step then G step) on a batch of PairedSamples."""
+    """One alternation (D step then G step) on a batch of PairedSamples.
+
+    Volumes of the wrong shape, non-finite or outside [-1, 1] raise
+    ValueError before anything runs. Each step checks its loss before its
+    optimizer update (TrainingDiverged); a call that raises leaves
+    ``step`` and the rng unchanged and the tape empty.
+    """
+    cfg = state.cfg
+    if not pairs:
+        raise ValueError("empty batch")
+    pairs = [PairedSample(hr=check_volume(p.hr, (cfg.hr_resolution,) * 3),
+                          lr=check_volume(p.lr, (cfg.lr_resolution,) * 3)) for p in pairs]
+    with step_guard(state):
+        report = _sr_alternate(state, pairs)
+    state.step += 1
+    return report
+
+
+def _sr_alternate(state: SRState, pairs: list) -> dict:
+    """The D and G updates of one ``sr_train_step`` on validated pairs."""
     cfg, store, rng = state.cfg, state.store, state.rng
     w = sample_r(cfg.lr_resolution, cfg.subvol_len, rng, resolution_scale=2)
     report = {"step": state.step, "r": w.start}
@@ -203,8 +222,8 @@ def sr_train_step(state: SRState, pairs: list) -> dict:
         term = gan_d_loss(logit_real, logit_fake)
         d_t += term.item()
         loss = term if loss is None else T.add(loss, term)
-    optimize(store, T.mul(loss, 1.0 / len(pairs)), cfg.lr_d)
     report["d"] = d_t / len(pairs)
+    optimize(store, checked_loss(state.step, T.mul(loss, 1.0 / len(pairs)), report), cfg.lr_d)
 
     # generator step
     store.set_trainable(["sr_d/"], False)
@@ -222,14 +241,9 @@ def sr_train_step(state: SRState, pairs: list) -> dict:
         g_t += adv.item()
         l1_t += rec.item() / hr_t.size      # per-voxel value for the log
         loss = term if loss is None else T.add(loss, term)
-    optimize(store, T.mul(loss, 1.0 / len(pairs)), cfg.lr_g)
     report["g_adv"] = g_t / len(pairs)
     report["l1"] = l1_t / len(pairs)
-
-    state.step += 1
-    for k, v in report.items():
-        if not np.isfinite(v):
-            raise TrainingDiverged(state.step - 1, report)
+    optimize(store, checked_loss(state.step, T.mul(loss, 1.0 / len(pairs)), report), cfg.lr_g)
     return report
 
 

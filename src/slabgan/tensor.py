@@ -17,14 +17,18 @@ memory model can measure real peaks of a training / inference step.
 Raw numpy temporaries inside ops (op workspace) are intentionally not
 counted by ``METER``. Most are payload-sized (a padded copy, an output
 gradient); conv3d's im2col matrix, which used to be 27x its input, is
-built in chunks of at most ``CONV_WORKSPACE_BYTES``.
+built in chunks of at most ``CONV_WORKSPACE_BYTES``, and resampling runs
+through its axis passes one chunk of channels (``INTERP_CHUNK_BYTES`` of
+output) at a time.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import warnings
 import weakref
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -837,86 +841,227 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
 
 # -- trilinear interpolation -------------------------------------------------
 
+# Output bytes resampled per chunk of leading (channel) slices: one chunk
+# runs through every axis pass while its temporaries are still in cache.
+INTERP_CHUNK_BYTES = 8 << 20
 
-def interp_matrix(n_in: int, n_out: int, align_corners: bool, dtype=np.float64) -> np.ndarray:
-    """Row-stochastic 1D linear interpolation matrix (n_out x n_in)."""
-    m = np.zeros((n_out, n_in), dtype=np.float64)
-    for v in range(n_out):
-        if n_out == 1:
-            src = 0.5 * (n_in - 1)
-        elif align_corners:
-            src = v * (n_in - 1) / (n_out - 1)
+
+class InterpPlan(NamedTuple):
+    """Linear resampling of one axis as a two-tap stencil.
+
+    Output ``v`` is ``w0[v] * x[i0[v]] + w1[v] * x[i1[v]]``, with both
+    products rounded in the data dtype before the add, so a voxel's value
+    depends only on its two source values, never on the extent of the
+    volume. ``runs`` are strided slices ``(out, in0, in1, w0, w1)`` with
+    constant weights; they cover the periodic interior of an integer up-
+    or down-factor on the half-pixel grid. ``points`` are the other
+    outputs ``(v, i0, i1, w0, w1)``, one at a time: clamped edges,
+    ``align_corners`` grids and other ratios.
+    """
+    n_in: int
+    n_out: int
+    runs: tuple
+    points: tuple
+
+
+@functools.lru_cache(maxsize=256)
+def interp_plan(n_in: int, n_out: int, align_corners: bool, dtype=np.float64) -> InterpPlan:
+    """The (cached) plan resampling ``n_in`` samples to ``n_out``.
+
+    Source positions are computed in float64, either on half-pixel centres
+    or corner-aligned, and clamped to the input; the taps are
+    ``i0 = floor(src)`` and ``min(i0 + 1, n_in - 1)`` with weights
+    ``1 - t`` and ``t``, each rounded once to ``dtype``. Equal extents give
+    the identity, which has no runs and no points.
+    """
+    if n_in == n_out:
+        return InterpPlan(n_in, n_out, (), ())
+    v = np.arange(n_out)
+    if n_out == 1:
+        src = np.full(1, 0.5 * (n_in - 1))
+    elif align_corners:
+        src = v * (n_in - 1) / (n_out - 1)
+    else:
+        src = (v + 0.5) * n_in / n_out - 0.5
+    src = np.clip(src, 0.0, n_in - 1)
+    i0 = np.floor(src).astype(np.intp)
+    i1 = np.minimum(i0 + 1, n_in - 1)
+    t = src - i0
+    w0, w1 = (1.0 - t).astype(dtype), t.astype(dtype)
+
+    runs, single = [], np.ones(n_out, dtype=bool)
+    if not align_corners and (n_out % n_in == 0 or n_in % n_out == 0):
+        period, step = max(n_out // n_in, 1), max(n_in // n_out, 1)
+        for p in range(period):
+            vs = np.arange(p, n_out, period)
+            m = vs.size // 2
+            base = i0[vs] - step * np.arange(vs.size)
+            same = ((base == base[m]) & (i1[vs] == i0[vs] + 1)
+                    & (w0[vs] == w0[vs[m]]) & (w1[vs] == w1[vs[m]]))
+            if not same[m]:
+                continue
+            bad = np.flatnonzero(~same)
+            lo = int(bad[bad < m].max()) + 1 if (bad < m).any() else 0
+            hi = int(bad[bad > m].min()) if (bad > m).any() else vs.size
+            if hi - lo < 2:
+                continue
+            a, span = int(i0[vs[lo]]), step * (hi - lo - 1) + 1
+            runs.append((slice(int(vs[lo]), int(vs[hi - 1]) + 1, period),
+                         slice(a, a + span, step), slice(a + 1, a + 1 + span, step),
+                         w0[vs[m]], w1[vs[m]]))
+            single[vs[lo:hi]] = False
+    points = tuple((int(o), int(i0[o]), int(i1[o]), w0[o], w1[o]) for o in np.flatnonzero(single))
+    return InterpPlan(n_in, n_out, tuple(runs), points)
+
+
+def _over_rows(run, n_out: int, rows: int):
+    """A run of the last axis continued through ``rows`` rows of the
+    flattened array. The outputs it adds between rows are all points."""
+    o = run[0]
+    n = (rows - 1) * (n_out // o.step) + len(range(o.start, o.stop, o.step))
+    return tuple(slice(s.start, s.start + s.step * (n - 1) + 1, s.step)
+                 for s in run[:3]) + run[3:]
+
+
+def _interp_axis(arr: np.ndarray, plan: InterpPlan, ax: int, transpose: bool,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Apply one axis of a plan, or its transpose, writing a new array once.
+
+    Runs read ``arr`` times each distinct weight, formed once per call.
+    Along the last axis each run is one 1-D pass over the flattened rows,
+    not a short strided loop per row: the forward pass overwrites the
+    outputs it adds with the points, and the transpose first zeroes the
+    points' gradient in a copy so that those outputs add nothing. A point
+    tap of weight 0 is skipped, which changes no finite result.
+    """
+    lead = (slice(None),) * ax
+    if out is None:
+        out = np.empty(arr.shape[:ax] + (plan.n_in if transpose else plan.n_out,)
+                       + arr.shape[ax + 1:], arr.dtype)
+    if transpose:
+        out[...] = 0
+    src, dst, at, runs = arr, out, lead, plan.runs
+    if runs and ax == arr.ndim - 1 > 0 and out.flags.c_contiguous:
+        if transpose and plan.points:
+            src = arr.copy()
+            src[..., [p[0] for p in plan.points]] = 0
+        src, dst, at = src.reshape(-1), out.reshape(-1), ()
+        runs = [_over_rows(r, plan.n_out, arr.size // arr.shape[-1]) for r in runs]
+    if transpose:
+        for o, s0, s1, w0, w1 in runs:
+            g = src[at + (o,)]
+            dst[at + (s0,)] += g * w0
+            dst[at + (s1,)] += g * w1
+        for v, i0, i1, w0, w1 in plan.points:
+            g = arr[lead + (v,)]
+            out[lead + (i0,)] += g if w0 == 1 else g * w0
+            if w1:
+                out[lead + (i1,)] += g * w1
+        return out
+    prods = {}
+
+    def tap(w, s):
+        if w not in prods:
+            prods[w] = src * w
+        return prods[w][at + (s,)]
+
+    for o, s0, s1, w0, w1 in runs:
+        np.add(tap(w0, s0), tap(w1, s1), out=dst[at + (o,)])
+    for v, i0, i1, w0, w1 in plan.points:
+        if w1:
+            np.add(arr[lead + (i0,)] * w0, arr[lead + (i1,)] * w1, out=out[lead + (v,)])
         else:
-            src = (v + 0.5) * n_in / n_out - 0.5
-        src = min(max(src, 0.0), n_in - 1)
-        i0 = int(np.floor(src))
-        i1 = min(i0 + 1, n_in - 1)
-        t = src - i0
-        m[v, i0] += 1.0 - t
-        m[v, i1] += t
-    return m.astype(dtype)
+            np.multiply(arr[lead + (i0,)], w0, out=out[lead + (v,)])
+    return out
 
 
-def _apply_axis_matrix(arr: np.ndarray, m: np.ndarray, axis: int) -> np.ndarray:
-    moved = np.moveaxis(arr, axis, 0)
-    flat = moved.reshape(moved.shape[0], -1)
-    res = m @ flat
-    res = res.reshape((m.shape[0],) + moved.shape[1:])
-    return np.ascontiguousarray(np.moveaxis(res, 0, axis))
+def _interp(arr: np.ndarray, plans, axes, transpose: bool = False) -> np.ndarray:
+    """Apply per-axis plans (or their transposes) to ``axes`` of ``arr``.
+
+    Contracting axes run first, outermost first; expanding axes run
+    innermost first, so the strided pass along the last axis sees the
+    smallest array. Transposes run in the reverse order. Identity axes
+    are skipped; the result is always a new array.
+    """
+    steps = [(ax, p) for ax, p in zip(axes, plans) if p.n_out < p.n_in]
+    steps += [(ax, p) for ax, p in zip(axes, plans) if p.n_out > p.n_in][::-1]
+    if transpose:
+        steps = steps[::-1]
+    if not steps:
+        return arr.copy()
+    shape = list(arr.shape)
+    for ax, p in zip(axes, plans):
+        shape[ax] = p.n_in if transpose else p.n_out
+    out = np.empty(shape, arr.dtype)
+    if 0 in axes:
+        chunks = [slice(None)]
+    else:
+        per = max(1, INTERP_CHUNK_BYTES // max(out[:1].nbytes, 1))
+        chunks = [slice(c, c + per) for c in range(0, len(arr), per)]
+    for c in chunks:
+        part = arr[c]
+        for ax, plan in steps[:-1]:
+            part = _interp_axis(part, plan, ax, transpose)
+        _interp_axis(part, steps[-1][1], steps[-1][0], transpose, out[c])
+    return out
 
 
 def resample(arr: np.ndarray, extents, align_corners: bool = False) -> np.ndarray:
     """Linear resampling of the last three axes of a numpy array to ``extents``.
 
-    Separable: one ``interp_matrix`` per axis, built in ``arr.dtype`` and
-    applied D, then H, then W. Plain numpy, no tape; ``resize3d`` is the
-    differentiable counterpart.
+    Separable: one cached ``interp_plan`` per axis, in ``arr.dtype``,
+    applied in the order ``_interp`` gives. Each voxel's arithmetic is two
+    products and one add, whatever the extent. Plain numpy, no tape;
+    ``resize3d`` is the differentiable counterpart and gives the same bits.
     """
-    out = arr
-    for ax, n in zip(range(arr.ndim - 3, arr.ndim), extents):
-        out = _apply_axis_matrix(out, interp_matrix(out.shape[ax], n, align_corners,
-                                                    dtype=arr.dtype), ax)
-    return out
+    axes = range(arr.ndim - 3, arr.ndim)
+    plans = [interp_plan(arr.shape[ax], n, align_corners, arr.dtype)
+             for ax, n in zip(axes, extents)]
+    return _interp(arr, plans, axes)
 
 
-def resize3d(x: Tensor, mats) -> Tensor:
-    """Apply per-axis linear resampling matrices to the D, H, W axes."""
-    md, mh, mw = mats
+def resize3d(x: Tensor, plans) -> Tensor:
+    """Resample the D, H, W axes of ``x`` with one ``InterpPlan`` each.
 
-    def fwd(arr, transpose=False):
-        out = arr
-        for ax, m in zip((1, 2, 3), (md, mh, mw)):
-            out = _apply_axis_matrix(out, m.T if transpose else m, ax)
-        return out
-
-    out = fwd(x.data).astype(x.dtype)
+    Each axis is a two-tap stencil: strided slices over the periodic
+    interior of an integer factor on the half-pixel grid, one output at a
+    time elsewhere. Contracting axes run first (D, H, W), expanding ones
+    after (W, H, D); backward applies the transposed stencils in the
+    reverse order. Each output voxel's arithmetic depends only on its
+    source values, not on the extent, so a depth window and the whole
+    volume agree bitwise wherever their sources agree.
+    """
+    if x.data.ndim != 4 or tuple(p.n_in for p in plans) != x.shape[1:]:
+        raise ShapeError(f"resize3d plans for {tuple(p.n_in for p in plans)} "
+                         f"do not fit {x.shape}")
+    out = _interp(x.data, plans, (1, 2, 3))
 
     def bwd(g):
         if x.requires_grad:
-            x.accumulate_grad(fwd(g, transpose=True).astype(x.dtype))
-    return _make(out, (x,), bwd, "resize3d")
+            x.accumulate_grad(_interp(g, plans, (1, 2, 3), transpose=True))
+    return _make(out.astype(x.dtype, copy=False), (x,), bwd, "resize3d")
 
 
 def trilinear_interp(x: Tensor, scale, align_corners: bool = False) -> Tensor:
     """Trilinear resampling by a positive rational scale.
 
     ``scale * extent`` must be integral on every spatial axis. Constant
-    fields are preserved exactly (the interpolation weights sum to one).
+    fields are preserved up to rounding (each pair of weights sums to one).
     """
     if x.data.ndim != 4:
         raise ShapeError(f"trilinear_interp expects (C, D, H, W), got {x.shape}")
     scale = float(scale)
     if scale <= 0:
         raise ValueError("scale must be positive")
-    mats = []
+    plans = []
     for ax in (1, 2, 3):
         n = x.data.shape[ax]
         target = n * scale
         n_out = int(round(target))
         if abs(target - n_out) > 1e-9 or n_out < 1:
             raise ShapeError(f"scale {scale} gives non-integral extent for axis size {n}")
-        mats.append(interp_matrix(n, n_out, align_corners, dtype=x.dtype))
-    return resize3d(x, mats)
+        plans.append(interp_plan(n, n_out, align_corners, x.dtype))
+    return resize3d(x, plans)
 
 
 # -- spectral normalization ---------------------------------------------------

@@ -14,6 +14,7 @@ the saturating textbook form is available behind a flag.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
@@ -23,7 +24,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import tensor as T
-from .geometry import SliceWindow, deterministic_windows, sample_r, select_low
+from .geometry import (SliceWindow, check_volume, deterministic_windows, sample_r,
+                       select_low)
 from .networks import ModelSet, NetConfig, build_model_set
 from .optim import optimize
 from .tensor import Tensor, no_grad
@@ -165,19 +167,68 @@ def recon_global_loss(state: TrainState, vol: np.ndarray, low: np.ndarray,
 ALL_PHASES = ("d", "g", "eh", "eg")
 
 
+@contextlib.contextmanager
+def step_guard(state):
+    """Undo what a failed training step leaves behind.
+
+    On any exception out of the block the gradient tape is cleared, so no
+    activation stays pinned, and the rng is put back, so a retry draws the
+    same windows and latents. Parameters are each phase's concern: it
+    checks its loss before it updates them.
+    """
+    rng_state = state.rng.bit_generator.state
+    try:
+        yield
+    except BaseException:
+        T.active_tape().clear()
+        state.rng.bit_generator.state = rng_state
+        raise
+
+
+def checked_loss(step: int, loss: Tensor, report: dict) -> Tensor:
+    """``loss``, or TrainingDiverged if it or a report value is non-finite."""
+    if not (np.isfinite(loss.item()) and all(np.isfinite(v) for v in report.values())):
+        raise TrainingDiverged(step, report)
+    return loss
+
+
+def _update(state: TrainState, loss: Tensor, scale: float, lr: float, report: dict) -> None:
+    """Scale a phase's loss, check it, then run the optimizer update."""
+    optimize(state.store, checked_loss(state.step, T.mul(loss, scale), report), lr,
+             state.clip_norm)
+
+
 def train_step(state: TrainState, batch_high: list, labels: list | None = None,
                phases=ALL_PHASES) -> dict:
     """One full alternation over a batch of (D, H, W) volumes in [-1, 1].
 
-    Returns the per-step loss report. Raises TrainingDiverged if any loss
-    goes non-finite. ``phases`` restricts the alternation (testing hook).
+    Returns the per-step loss report. A volume of the wrong shape, with a
+    non-finite value or outside [-1, 1] raises ValueError before anything
+    runs. Each phase checks its loss before its optimizer update and
+    raises TrainingDiverged if it is non-finite, so a diverged phase
+    writes no parameter (the phases before it keep their updates). A step
+    that raises leaves ``step`` and the rng unchanged and the tape empty.
+    ``phases`` restricts the alternation (testing hook).
     """
-    nets, cfg, store = state.nets, state.cfg, state.store
+    cfg = state.cfg
+    n = len(batch_high)
+    if not n:
+        raise ValueError("empty batch")
+    batch_high = [check_volume(v, (cfg.full_resolution,) * 3) for v in batch_high]
+    if cfg.num_classes and (labels is None or len(labels) != n):
+        raise ValueError("conditional training needs one label per sample")
+    with step_guard(state):
+        report = _alternate(state, batch_high, labels if cfg.num_classes else [None] * n,
+                            phases)
+    state.step += 1
+    return report
+
+
+def _alternate(state: TrainState, batch_high: list, labels: list, phases) -> dict:
+    """The phases of one ``train_step`` on validated volumes."""
+    nets, cfg = state.nets, state.cfg
     n = len(batch_high)
     conditional = bool(cfg.num_classes)
-    if conditional and (labels is None or len(labels) != n):
-        raise ValueError("conditional training needs one label per sample")
-    labels = labels if conditional else [None] * n
 
     w = _current_window(state)
     lows = [downsample_volume(v, 4) for v in batch_high]
@@ -209,11 +260,11 @@ def train_step(state: TrainState, batch_high: list, labels: list | None = None,
             d_low_t += d_low.item()
             d_high_t += d_high.item()
             loss = term if loss is None else T.add(loss, term)
-        optimize(store, T.mul(loss, 1.0 / n), state.lr_d, state.clip_norm)
         report["d_low"] = d_low_t / n
         report["d_high"] = d_high_t / n
         if conditional:
             report["class"] = cls_t / n
+        _update(state, loss, 1.0 / n, state.lr_d, report)
 
     # ---- phase 2: generators ------------------------------------------------
     if "g" in phases:
@@ -233,9 +284,9 @@ def train_step(state: TrainState, batch_high: list, labels: list | None = None,
             g_low_t += g_low.item()
             g_high_t += g_high.item()
             loss = term if loss is None else T.add(loss, term)
-        optimize(store, T.mul(loss, 1.0 / n), state.lr_g, state.clip_norm)
         report["g_low"] = g_low_t / n
         report["g_high"] = g_high_t / n
+        _update(state, loss, 1.0 / n, state.lr_g, report)
 
     # ---- phase 3: slab encoder (only e_h updates) ---------------------------
     if "eh" in phases:
@@ -246,8 +297,8 @@ def train_step(state: TrainState, batch_high: list, labels: list | None = None,
             term = recon_slab_loss(state, vol, w)
             rec_h_t += term.item()
             loss = term if loss is None else T.add(loss, term)
-        optimize(store, T.mul(loss, state.weights.lambda1 / n), state.lr_e, state.clip_norm)
         report["rec_h"] = rec_h_t / n
+        _update(state, loss, state.weights.lambda1 / n, state.lr_e, report)
 
     # ---- phase 4: global encoder (only e_g updates) --------------------------
     if "eg" in phases:
@@ -258,13 +309,8 @@ def train_step(state: TrainState, batch_high: list, labels: list | None = None,
             term = recon_global_loss(state, vol, low, w, lab)
             rec_g_t += term.item()
             loss = term if loss is None else T.add(loss, term)
-        optimize(store, T.mul(loss, state.weights.lambda2 / n), state.lr_e, state.clip_norm)
         report["rec_g"] = rec_g_t / n
-
-    state.step += 1
-    for k, v in report.items():
-        if not np.isfinite(v):
-            raise TrainingDiverged(state.step - 1, report)
+        _update(state, loss, state.weights.lambda2 / n, state.lr_e, report)
     return report
 
 
@@ -408,7 +454,8 @@ def restore_store(store, header: dict, body: bytes) -> None:
 
 
 def save_checkpoint(state: TrainState, path) -> None:
-    """Bit-exact snapshot: parameters, buffers, Adam moments, rng, step."""
+    """Bit-exact snapshot: parameters, buffers, Adam moments, rng, step and
+    the optimisation settings (learning rates, batch size, clipping)."""
     header = {
         "kind": "hagan",
         "config": asdict(state.cfg),
@@ -419,6 +466,7 @@ def save_checkpoint(state: TrainState, path) -> None:
         "rng_state": _encode_rng(state.rng),
         "saturating": state.saturating,
         "deterministic_r": state.deterministic_r,
+        "clip_norm": state.clip_norm,
     }
     write_store_checkpoint(path, state.store, header)
 
@@ -461,6 +509,7 @@ def load_checkpoint(path, state: TrainState | None = None) -> TrainState:
         state.batch_size = header["batch_size"]
         state.saturating = header["saturating"]
         state.deterministic_r = header["deterministic_r"]
+        state.clip_norm = header.get("clip_norm")   # absent in older files
     restore_store(state.store, header, body)
     state.step = header["step"]
     state.rng.bit_generator.state = header["rng_state"]

@@ -75,3 +75,32 @@ def conv3d_direct(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride=1, pad=0) 
                     patch = xp[:, z0:z0 + kd, y0:y0 + kh, x0:x0 + kw]
                     out[co, z, y, xx] = float((patch * w[co]).sum()) + float(b[co])
     return out.astype(x.dtype)
+
+
+def interp_matrix(n_in: int, n_out: int, align_corners: bool, dtype=np.float64) -> np.ndarray:
+    """Row-stochastic dense 1D linear interpolation matrix (n_out x n_in);
+    the correctness oracle for the two-tap resampling plans."""
+    m = np.zeros((n_out, n_in), dtype=np.float64)
+    for v in range(n_out):
+        if n_out == 1:
+            src = 0.5 * (n_in - 1)
+        elif align_corners:
+            src = v * (n_in - 1) / (n_out - 1)
+        else:
+            src = (v + 0.5) * n_in / n_out - 0.5
+        src = min(max(src, 0.0), n_in - 1)
+        i0 = int(np.floor(src))
+        i1 = min(i0 + 1, n_in - 1)
+        t = src - i0
+        m[v, i0] += 1.0 - t
+        m[v, i1] += t
+    return m.astype(dtype)
+
+
+def resample_dense(arr: np.ndarray, extents, align_corners: bool = False) -> np.ndarray:
+    """Resample the last three axes by dense ``interp_matrix`` products."""
+    out = arr
+    for ax, n in zip(range(arr.ndim - 3, arr.ndim), extents):
+        m = interp_matrix(out.shape[ax], n, align_corners, dtype=arr.dtype)
+        out = np.moveaxis(np.tensordot(m, out, axes=(1, ax)), 0, ax)
+    return out

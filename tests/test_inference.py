@@ -109,6 +109,18 @@ class TestEncodeFull:
         with pytest.raises(ShapeError):
             encode_full(nets, np.zeros((60, 64, 64), np.float32))
 
+    @pytest.mark.parametrize("bad", ["nan", "scaled", "shape"])
+    def test_bad_volume_rejected(self, nets, bad):
+        vol = np.random.default_rng(6).uniform(-1, 1, (64, 64, 64)).astype(np.float32)
+        if bad == "nan":
+            vol[0, 1, 2] = np.nan
+        elif bad == "scaled":
+            vol = vol * 5.0
+        else:
+            vol = vol[:, :32]
+        with pytest.raises(ValueError):
+            encode_full(nets, vol)
+
     def test_latent_code_validation(self):
         with pytest.raises(ValueError):
             LatentCode(z=np.array([np.nan]))

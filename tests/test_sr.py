@@ -13,7 +13,8 @@ from slabgan.sr import (SR_CONSISTENCY_MARGIN, PairedSample, SRConfig,
                         sr_infer, sr_load, sr_save, sr_train, sr_train_step,
                         upsample2)
 from slabgan.tensor import ShapeError, Tensor, no_grad
-from slabgan.training import CheckpointError, init_train_state, save_checkpoint
+from slabgan.training import (CheckpointError, TrainingDiverged, init_train_state,
+                              save_checkpoint)
 
 
 CFG = SRConfig().validate()
@@ -169,6 +170,36 @@ class TestSRTraining:
         sr_train_step(state, pairs[:2])
         assert state.store.parameter_hash("sr_g/") != hg0
         assert state.store.parameter_hash("sr_d/") != hd0
+
+    @pytest.mark.parametrize("bad", ["hr-shape", "hr-nan", "lr-range"])
+    def test_bad_volume_rejected(self, bad):
+        cfg = SRConfig(hr_resolution=32, subvol_len=4).validate()
+        state = build_sr(cfg, seed=19)
+        p = self._pairs(n=1, res=32)[0]
+        hr, lr = p.hr.copy(), p.lr.copy()
+        if bad == "hr-shape":
+            hr = hr[:, :16]
+        elif bad == "hr-nan":
+            hr[1, 2, 3] = np.nan
+        else:
+            lr = lr * 5.0
+        before = state.store.parameter_hash()
+        with pytest.raises(ValueError):
+            sr_train_step(state, [PairedSample(hr=hr, lr=lr)])
+        assert len(T.active_tape()) == 0
+        assert state.store.parameter_hash() == before and state.step == 0
+
+    def test_diverged_step_leaves_state_unchanged(self):
+        cfg = SRConfig(hr_resolution=32, subvol_len=4).validate()
+        state = build_sr(cfg, seed=20)
+        state.store.params["sr_g/res/conv/weight"].data.flat[0] = np.nan
+        before = state.store.parameter_hash()
+        rng_before = state.rng.bit_generator.state
+        with pytest.raises(TrainingDiverged):
+            sr_train_step(state, self._pairs(n=2, res=32))
+        assert state.store.parameter_hash() == before and state.step == 0
+        assert state.rng.bit_generator.state == rng_before
+        assert len(T.active_tape()) == 0
 
     def test_losses_finite_and_logged(self):
         cfg = SRConfig(hr_resolution=32, subvol_len=4).validate()

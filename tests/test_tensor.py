@@ -7,7 +7,8 @@ import zlib
 import numpy as np
 import pytest
 
-from conftest import conv3d_direct, finite_difference, gradcheck, rel_err
+from conftest import (conv3d_direct, finite_difference, gradcheck, interp_matrix, rel_err,
+                      resample_dense)
 from slabgan import tensor as T
 from slabgan import optim
 from slabgan.optim import ParamStore, adam_step, optimize
@@ -199,6 +200,81 @@ class TestInterp:
         out = T.resample(x, (4, 12, 5), align_corners=True)
         assert out.shape == (4, 12, 5)
         assert np.array_equal(out, T.resample(x[None], (4, 12, 5), align_corners=True)[0])
+
+
+# (input extents, output extents, align_corners) against the dense oracle:
+# x2 at odd, even and unit extents, (1, 2, 2), 1/2, 1/4, a corner-aligned
+# 4 -> 37 and a non-integer ratio
+ORACLE_CASES = [
+    ((5, 6, 7), (10, 12, 14), False),
+    ((1, 2, 1), (2, 4, 2), False),
+    ((4, 8, 8), (4, 16, 16), False),
+    ((8, 6, 4), (4, 3, 2), False),
+    ((8, 12, 4), (2, 3, 1), False),
+    ((4, 4, 4), (37, 37, 37), True),
+    ((6, 3, 5), (15, 3, 7), False),
+]
+
+
+class TestInterpPlan:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("ext_in,ext_out,align", ORACLE_CASES)
+    def test_forward_matches_dense_oracle(self, ext_in, ext_out, align, dtype):
+        x = np.random.default_rng(40).standard_normal((2,) + ext_in).astype(dtype)
+        out = T.resample(x, ext_out, align_corners=align)
+        ref = resample_dense(x, ext_out, align_corners=align)
+        assert out.dtype == dtype and out.shape == ref.shape
+        tol = 1e-6 if dtype == np.float32 else 1e-14
+        assert np.abs(out - ref).max() <= tol
+
+    @pytest.mark.parametrize("ext_in,ext_out,align", ORACLE_CASES)
+    def test_backward_matches_dense_transpose(self, ext_in, ext_out, align):
+        rng = np.random.default_rng(41)
+        x = Tensor(rng.standard_normal((2,) + ext_in), requires_grad=True)
+        plans = [T.interp_plan(n, m, align) for n, m in zip(ext_in, ext_out)]
+        y = T.resize3d(x, plans)
+        g = rng.standard_normal(y.shape)
+        T.backward(T.tsum(T.mul(y, Tensor(g))))
+        ref = g
+        for ax, n in zip((1, 2, 3), ext_in):
+            m = interp_matrix(n, ref.shape[ax], align)
+            ref = np.moveaxis(np.tensordot(m.T, ref, axes=(1, ax)), 0, ax)
+        assert np.abs(x.grad - ref).max() <= 1e-13
+
+    @pytest.mark.parametrize("scale", [2.0, (1, 2, 2)])
+    def test_gradcheck_float64(self, scale):
+        from slabgan.layers import Interp
+        layer = Interp(scale)
+        x = np.random.default_rng(42).standard_normal((2, 3, 5, 4))
+        gradcheck(lambda t: T.tsum(T.square(layer.forward(t, True))), [x])
+
+    def test_window_matches_full_volume_bitwise(self):
+        """Away from its clamped edges, a depth window upsamples to the same
+        bits as the matching slices of the whole volume."""
+        x = np.random.default_rng(43).standard_normal((3, 16, 12, 10)).astype(np.float32)
+        full = T.resample(x, (32, 24, 20))
+        win = T.resample(x[:, 4:9], (10, 24, 20))
+        assert np.array_equal(win[:, 1:-1], full[:, 9:17])
+
+    def test_plan_shape_and_cache(self):
+        plan = T.interp_plan(64, 128, False, np.dtype(np.float32))
+        assert plan is T.interp_plan(64, 128, False, np.dtype(np.float32))
+        # two strided phases for the interior, the clamped edges one by one
+        assert len(plan.runs) == 2 and [p[0] for p in plan.points] == [0, 127]
+        assert T.interp_plan(16, 4, False).points == ()
+        assert T.interp_plan(7, 7, True) == (7, 7, (), ())
+
+    def test_chunked_equals_whole(self, monkeypatch):
+        x = np.random.default_rng(44).standard_normal((5, 4, 6, 8)).astype(np.float32)
+        plans = [T.interp_plan(n, 2 * n, False, x.dtype) for n in x.shape[1:]]
+        whole = T.resize3d(Tensor(x), plans).data
+        monkeypatch.setattr(T, "INTERP_CHUNK_BYTES", 1)
+        assert np.array_equal(T.resize3d(Tensor(x), plans).data, whole)
+
+    def test_plan_must_fit_input(self):
+        plans = [T.interp_plan(4, 8, False)] * 3
+        with pytest.raises(ShapeError):
+            T.resize3d(Tensor(np.zeros((1, 4, 4, 5))), plans)
 
 
 class TestGroupNorm:

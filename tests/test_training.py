@@ -230,6 +230,50 @@ class TestTrainStep:
         with pytest.raises(TrainingDiverged):
             train_step(state, vols)
 
+    def test_diverged_step_leaves_state_unchanged(self):
+        state = tiny_state(32)
+        vols = [np.random.default_rng(33).uniform(-1, 1, (32, 32, 32)).astype(np.float32)]
+        state.store.params["g_h/conv1/weight"].data.flat[0] = np.nan
+        before = state.store.parameter_hash()
+        rng_before = state.rng.bit_generator.state
+        with pytest.raises(TrainingDiverged):
+            train_step(state, vols)
+        assert state.store.parameter_hash() == before
+        assert state.step == 0
+        assert state.rng.bit_generator.state == rng_before
+
+    @pytest.mark.parametrize("bad", ["depth", "nan", "scaled"])
+    def test_bad_volume_rejected(self, bad):
+        state = tiny_state(34)
+        vol = np.random.default_rng(35).uniform(-1, 1, (32, 32, 32)).astype(np.float32)
+        if bad == "depth":
+            vol = vol[:24]
+        elif bad == "nan":
+            vol[3, 4, 5] = np.nan
+        else:
+            vol = vol * 5.0
+        before = state.store.parameter_hash()
+        with pytest.raises(ValueError):
+            train_step(state, [vol])
+        assert len(T.active_tape()) == 0
+        assert state.store.parameter_hash() == before and state.step == 0
+
+    def test_exception_mid_step_clears_tape(self, monkeypatch):
+        state = tiny_state(36)
+        vols = [np.random.default_rng(37).uniform(-1, 1, (32, 32, 32)).astype(np.float32)]
+        rng_before = state.rng.bit_generator.state
+
+        def failing_recon(*args):
+            recon_slab_loss(*args)              # records nodes on the tape
+            assert len(T.active_tape()) > 0
+            raise RuntimeError("injected")
+        monkeypatch.setattr(training, "recon_slab_loss", failing_recon)
+        with pytest.raises(RuntimeError, match="injected"):
+            train_step(state, vols)
+        assert len(T.active_tape()) == 0
+        assert state.step == 0
+        assert state.rng.bit_generator.state == rng_before
+
     def test_deterministic_r_cycles(self):
         state = tiny_state(18)
         state.deterministic_r = True
@@ -291,6 +335,17 @@ class TestCheckpoint:
         assert direct == resumed
         for name in state.store.names():
             assert np.array_equal(state.store[name].data, restored.store[name].data)
+
+    def test_resume_keeps_gradient_clipping(self, tmp_path):
+        state, vols = self._state_and_batch(38)
+        state.clip_norm = 0.05
+        train_step(state, vols)
+        path = tmp_path / "ck.bin"
+        save_checkpoint(state, path)
+        direct = [format_report(train_step(state, vols)) for _ in range(2)]
+        restored = load_checkpoint(path)
+        assert restored.clip_norm == 0.05
+        assert [format_report(train_step(restored, vols)) for _ in range(2)] == direct
 
     def test_corrupt_magic(self, tmp_path):
         state, vols = self._state_and_batch(26)
