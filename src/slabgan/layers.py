@@ -225,7 +225,6 @@ class Interp(Layer):
             scale = (scale,) * 3
         self.scale = tuple(float(s) for s in scale)
         self.align_corners = align_corners
-        self._plans = {}
 
     def out_shape(self, in_shape):
         c, d, h, w = in_shape
@@ -241,14 +240,9 @@ class Interp(Layer):
         return "Interpolation"
 
     def forward(self, x, training):
-        key = x.shape[1:] + (x.dtype.char,)
-        plans = self._plans.get(key)
-        if plans is None:
-            out = self.out_shape(x.shape)
-            plans = tuple(T.interp_plan(n_in, n_out, self.align_corners, x.dtype)
-                          for n_in, n_out in zip(x.shape[1:], out[1:]))
-            self._plans[key] = plans
-        return T.resize3d(x, plans)
+        out = self.out_shape(x.shape)
+        return T.resize3d(x, [T.interp_plan(n_in, n_out, self.align_corners, x.dtype)
+                              for n_in, n_out in zip(x.shape[1:], out[1:])])
 
 
 class Reshape(Layer):

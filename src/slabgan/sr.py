@@ -184,7 +184,8 @@ def sr_train_step(state: SRState, pairs: list) -> dict:
     Volumes of the wrong shape, non-finite or outside [-1, 1] raise
     ValueError before anything runs. Each step checks its loss before its
     optimizer update (TrainingDiverged); a call that raises leaves
-    ``step`` and the rng unchanged and the tape empty.
+    ``step`` unchanged and the tape empty, and the rng too if it raised
+    before the D update (see ``training.step_guard``).
     """
     cfg = state.cfg
     if not pairs:

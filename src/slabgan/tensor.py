@@ -914,25 +914,13 @@ def interp_plan(n_in: int, n_out: int, align_corners: bool, dtype=np.float64) ->
     return InterpPlan(n_in, n_out, tuple(runs), points)
 
 
-def _over_rows(run, n_out: int, rows: int):
-    """A run of the last axis continued through ``rows`` rows of the
-    flattened array. The outputs it adds between rows are all points."""
-    o = run[0]
-    n = (rows - 1) * (n_out // o.step) + len(range(o.start, o.stop, o.step))
-    return tuple(slice(s.start, s.start + s.step * (n - 1) + 1, s.step)
-                 for s in run[:3]) + run[3:]
-
-
 def _interp_axis(arr: np.ndarray, plan: InterpPlan, ax: int, transpose: bool,
                  out: np.ndarray | None = None) -> np.ndarray:
     """Apply one axis of a plan, or its transpose, writing a new array once.
 
-    Runs read ``arr`` times each distinct weight, formed once per call.
-    Along the last axis each run is one 1-D pass over the flattened rows,
-    not a short strided loop per row: the forward pass overwrites the
-    outputs it adds with the points, and the transpose first zeroes the
-    points' gradient in a copy so that those outputs add nothing. A point
-    tap of weight 0 is skipped, which changes no finite result.
+    Runs read ``arr`` times each distinct weight, formed once per call,
+    through strided slices of axis ``ax``. A point tap of weight 0 is
+    skipped, which changes no finite result.
     """
     lead = (slice(None),) * ax
     if out is None:
@@ -940,18 +928,10 @@ def _interp_axis(arr: np.ndarray, plan: InterpPlan, ax: int, transpose: bool,
                        + arr.shape[ax + 1:], arr.dtype)
     if transpose:
         out[...] = 0
-    src, dst, at, runs = arr, out, lead, plan.runs
-    if runs and ax == arr.ndim - 1 > 0 and out.flags.c_contiguous:
-        if transpose and plan.points:
-            src = arr.copy()
-            src[..., [p[0] for p in plan.points]] = 0
-        src, dst, at = src.reshape(-1), out.reshape(-1), ()
-        runs = [_over_rows(r, plan.n_out, arr.size // arr.shape[-1]) for r in runs]
-    if transpose:
-        for o, s0, s1, w0, w1 in runs:
-            g = src[at + (o,)]
-            dst[at + (s0,)] += g * w0
-            dst[at + (s1,)] += g * w1
+        for o, s0, s1, w0, w1 in plan.runs:
+            g = arr[lead + (o,)]
+            out[lead + (s0,)] += g * w0
+            out[lead + (s1,)] += g * w1
         for v, i0, i1, w0, w1 in plan.points:
             g = arr[lead + (v,)]
             out[lead + (i0,)] += g if w0 == 1 else g * w0
@@ -962,11 +942,11 @@ def _interp_axis(arr: np.ndarray, plan: InterpPlan, ax: int, transpose: bool,
 
     def tap(w, s):
         if w not in prods:
-            prods[w] = src * w
-        return prods[w][at + (s,)]
+            prods[w] = arr * w
+        return prods[w][lead + (s,)]
 
-    for o, s0, s1, w0, w1 in runs:
-        np.add(tap(w0, s0), tap(w1, s1), out=dst[at + (o,)])
+    for o, s0, s1, w0, w1 in plan.runs:
+        np.add(tap(w0, s0), tap(w1, s1), out=out[lead + (o,)])
     for v, i0, i1, w0, w1 in plan.points:
         if w1:
             np.add(arr[lead + (i0,)] * w0, arr[lead + (i1,)] * w1, out=out[lead + (v,)])

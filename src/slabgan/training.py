@@ -172,17 +172,27 @@ def step_guard(state):
     """Undo what a failed training step leaves behind.
 
     On any exception out of the block the gradient tape is cleared, so no
-    activation stays pinned, and the rng is put back, so a retry draws the
-    same windows and latents. Parameters are each phase's concern: it
-    checks its loss before it updates them.
+    activation stays pinned. If no optimizer update ran before it, the
+    rng is put back too, so the step leaves the state as it found it and
+    a retry draws the same windows and latents. After an update the rng
+    stays where it is: the updated phases keep their changes, and a retry
+    must not apply them again to the same data. Parameters are each
+    phase's concern: it checks its loss before it updates them.
     """
     rng_state = state.rng.bit_generator.state
+    updates = _adam_updates(state.store)
     try:
         yield
     except BaseException:
         T.active_tape().clear()
-        state.rng.bit_generator.state = rng_state
+        if _adam_updates(state.store) == updates:
+            state.rng.bit_generator.state = rng_state
         raise
+
+
+def _adam_updates(store) -> int:
+    """Adam steps taken so far, summed over parameters."""
+    return sum(s[2] for s in store.adam_state.values())
 
 
 def checked_loss(step: int, loss: Tensor, report: dict) -> Tensor:
@@ -206,8 +216,9 @@ def train_step(state: TrainState, batch_high: list, labels: list | None = None,
     non-finite value or outside [-1, 1] raises ValueError before anything
     runs. Each phase checks its loss before its optimizer update and
     raises TrainingDiverged if it is non-finite, so a diverged phase
-    writes no parameter (the phases before it keep their updates). A step
-    that raises leaves ``step`` and the rng unchanged and the tape empty.
+    writes no parameter; the phases before it keep their updates. A step
+    that raises leaves ``step`` unchanged and the tape empty, and, if it
+    raised before any update, the rng too (see ``step_guard``).
     ``phases`` restricts the alternation (testing hook).
     """
     cfg = state.cfg

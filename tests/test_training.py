@@ -259,6 +259,9 @@ class TestTrainStep:
         assert state.store.parameter_hash() == before and state.step == 0
 
     def test_exception_mid_step_clears_tape(self, monkeypatch):
+        """A failure in phase eh, after d and g updated: the tape is
+        cleared and step stays, but the rng is not put back, so a retry
+        does not repeat those updates on the same windows and latents."""
         state = tiny_state(36)
         vols = [np.random.default_rng(37).uniform(-1, 1, (32, 32, 32)).astype(np.float32)]
         rng_before = state.rng.bit_generator.state
@@ -272,7 +275,7 @@ class TestTrainStep:
             train_step(state, vols)
         assert len(T.active_tape()) == 0
         assert state.step == 0
-        assert state.rng.bit_generator.state == rng_before
+        assert state.rng.bit_generator.state != rng_before
 
     def test_deterministic_r_cycles(self):
         state = tiny_state(18)
