@@ -41,7 +41,7 @@ def classifier_train(state: ClassifierState, volumes: np.ndarray, labels: np.nda
     """Cross-entropy training; volumes are classifier-resolution (D, H, W)."""
     losses = []
     n = len(volumes)
-    state.store.set_trainable(["cls/"], True)
+    state.store.train_only("cls/")
     for _ in range(steps):
         idx = state.rng.choice(n, size=min(batch_size, n), replace=False)
         loss = None

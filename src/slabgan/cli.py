@@ -171,17 +171,12 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_model(path):
-    from .training import load_checkpoint
-    state = load_checkpoint(path)
-    return state
-
-
 def cmd_generate(args) -> int:
     from .inference import generate_full
+    from .training import load_checkpoint
     cfg = _run_config(args)
     out = _ensure_out(cfg)
-    state = _load_model(args.checkpoint)
+    state = load_checkpoint(args.checkpoint)
     rng = np.random.default_rng(args.seed)
     mc = state.cfg
     for i in range(args.n):
@@ -198,8 +193,9 @@ def cmd_generate(args) -> int:
 
 def cmd_encode(args) -> int:
     from .inference import encode_full
+    from .training import load_checkpoint
     cfg = _run_config(args)
-    state = _load_model(args.checkpoint)
+    state = load_checkpoint(args.checkpoint)
     names, vols = _load_volume_dir(args.input)
     out_path = args.out or "latents.tsv"
     with open(out_path, "w") as f:
@@ -214,9 +210,10 @@ def cmd_encode(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     from .inference import reconstruct
+    from .training import load_checkpoint
     cfg = _run_config(args)
     out = _ensure_out(cfg)
-    state = _load_model(args.checkpoint)
+    state = load_checkpoint(args.checkpoint)
     names, vols = _load_volume_dir(args.input)
     for name, vol in zip(names, vols):
         rec = reconstruct(state.nets, vol,
@@ -229,9 +226,10 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_interpolate(args) -> int:
     from .inference import interpolate
+    from .training import load_checkpoint
     cfg = _run_config(args)
     out = _ensure_out(cfg)
-    state = _load_model(args.checkpoint)
+    state = load_checkpoint(args.checkpoint)
     rng = np.random.default_rng(args.seed)
     mc = state.cfg
     z_a = rng.standard_normal(mc.latent_dim).astype(np.float32)
@@ -386,8 +384,9 @@ def cmd_sr_eval(args) -> int:
 def cmd_augment_study(args) -> int:
     from .augment import augment_study, study_table
     from .phantoms import phantom_dataset
+    from .training import load_checkpoint
     cfg = _run_config(args)
-    state = _load_model(args.checkpoint)
+    state = load_checkpoint(args.checkpoint)
     if not state.cfg.num_classes:
         raise UsageError("augment-study needs a class-conditional checkpoint")
     n_train = args.n_train

@@ -91,7 +91,7 @@ def deterministic_windows(depth_low: int, length_low: int,
             for s in range(0, depth_low - length_low + 1, length_low)]
 
 
-def partition_volume(depth: int, count: int, resolution_scale: int = 1) -> Partition:
+def partition_volume(depth: int, count: int) -> Partition:
     """Disjoint cover of [0, depth) by ``count`` equal windows."""
     if depth % count:
         raise ShapeError(f"depth {depth} not divisible into {count} windows")

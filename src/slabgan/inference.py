@@ -59,6 +59,7 @@ def generate_full(nets: ModelSet, z: np.ndarray, c: int | None = None,
     """Decode a latent to the full high-resolution volume (no gradients).
 
     Returns the (1, D, H, W) volume, or (high, low) with ``want_low``.
+    A class ``c`` outside the model's range raises ValueError.
     """
     z = _check_latent(nets, z)
     with no_grad():
@@ -74,13 +75,13 @@ def encode_full(nets: ModelSet, vol: np.ndarray, c: int | None = None) -> Latent
     """Hierarchical encode (``ModelSet.encode``) of a whole volume, without
     gradients; ``c`` is recorded as the code's one-hot class. The volume,
     (D, H, W) or (1, D, H, W), must be finite, in [-1, 1] and of the
-    model's full resolution (ValueError otherwise)."""
+    model's full resolution, and ``c`` in the model's class range
+    (ValueError otherwise)."""
     cfg = nets.cfg
     arr = check_volume(vol, (cfg.full_resolution,) * 3).astype(np.float32, copy=False)
+    onehot = nets.class_code(c) if cfg.num_classes and c is not None else None
     with no_grad():
         zhat = nets.encode(Tensor(arr[None]), training=False).data
-    onehot = (np.eye(cfg.num_classes, dtype=np.float32)[c]
-              if cfg.num_classes and c is not None else None)
     return LatentCode(z=zhat.copy(), class_onehot=onehot)
 
 

@@ -16,7 +16,7 @@ payload-sized: conv3d builds its im2col matrix in chunks of at most
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -198,7 +198,7 @@ def analytic_memory(cfg: NetConfig, mode: str, batch_size: int = 2) -> MemoryRep
                             activations_bytes=sim.peak_acts, grads_bytes=0,
                             optimizer_bytes=0, peak_total=sim.peak,
                             high_res_branch_bytes=high_res_branch_bytes(cfg_run),
-                            config=_echo(cfg_run)).check()
+                            config=asdict(cfg_run)).check()
 
     opt_b = 2 * params_b
     sim = _LiveSim(params_b + opt_b)
@@ -293,12 +293,7 @@ def analytic_memory(cfg: NetConfig, mode: str, batch_size: int = 2) -> MemoryRep
                         grads_bytes=sim.peak_grads, optimizer_bytes=opt_b,
                         peak_total=sim.peak,
                         high_res_branch_bytes=high_res_branch_bytes(cfg_run),
-                        config=_echo(cfg_run)).check()
-
-
-def _echo(cfg: NetConfig) -> dict:
-    from dataclasses import asdict
-    return asdict(cfg)
+                        config=asdict(cfg_run)).check()
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +348,7 @@ def measured_train_peak(cfg: NetConfig, mode: str, seed: int = 0,
     rep.params_bytes = params_b
     rep.optimizer_bytes = opt_b
     rep.peak_total += params_b + opt_b
-    rep.config = _echo(cfg)
+    rep.config = asdict(cfg)
     return rep
 
 
@@ -367,7 +362,7 @@ def measured_inference_peak(cfg: NetConfig, seed: int = 0) -> MemoryReport:
     rep = measured_memory(lambda: generate_full(nets, z, c=c), mode="inference")
     rep.params_bytes = params_b
     rep.peak_total += params_b
-    rep.config = _echo(cfg)
+    rep.config = asdict(cfg)
     rep.check()
     return rep
 

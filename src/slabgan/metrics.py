@@ -114,10 +114,8 @@ class FixedExtractor:
 # distribution metrics
 
 
-def _sym_sqrt(mat: np.ndarray, clamp: float = -1e-10) -> np.ndarray:
+def _sym_sqrt(mat: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(mat)
-    if vals.min() < clamp:
-        vals = vals.copy()
     vals = np.where(vals < 0, 0.0, vals)
     return (vecs * np.sqrt(vals)) @ vecs.T
 

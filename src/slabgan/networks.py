@@ -442,9 +442,18 @@ class ModelSet:
     def discriminator_prefixes(self):
         return ("d_l/", "d_h/")
 
-    @property
-    def encoder_prefixes(self):
-        return ("e_h/", "e_g/")
+    def class_code(self, c: int | None, dtype=np.float32) -> np.ndarray:
+        """One-hot code of class ``c`` for a class-conditional model.
+
+        Raises ValueError when ``c`` is None or outside
+        ``[0, num_classes)``.
+        """
+        k = self.cfg.num_classes
+        if c is None:
+            raise ValueError("class-conditional model needs a class index")
+        if not 0 <= c < k:
+            raise ValueError(f"class index {c} outside [0, {k})")
+        return np.eye(k, dtype=dtype)[c]
 
     def latent_input(self, z: Tensor, c: int | None = None) -> Tensor:
         """Input of ``g_a``: the latent ``z``, followed by the one-hot code of
@@ -453,13 +462,12 @@ class ModelSet:
 
         The code is appended with the ``concat`` op, so a ``z`` on the tape
         (the global encoder's output during training) still receives its
-        gradient. Raises ValueError when a conditional model gets no class.
+        gradient. Raises ValueError when a conditional model gets no class
+        or one outside its range (``class_code``).
         """
         if not self.cfg.num_classes:
             return z
-        if c is None:
-            raise ValueError("class-conditional model needs a class index")
-        return concat([z, Tensor(np.eye(self.cfg.num_classes, dtype=z.dtype)[c])], axis=0)
+        return concat([z, Tensor(self.class_code(c, z.dtype))], axis=0)
 
     def encode(self, x: Tensor, training: bool = True) -> Tensor:
         """Hierarchical encode of a (1, D, H, W) volume to the latent.
@@ -479,15 +487,10 @@ def build_model_set(cfg: NetConfig, rng: np.random.Generator,
                     dtype=np.float32) -> ModelSet:
     cfg.validate()
     store = ParamStore()
-    nets = ModelSet(
-        cfg=cfg, store=store,
-        g_a=build_g_a(cfg), g_l=build_g_l(cfg), g_h=build_g_h(cfg),
-        d_l=build_d_l(cfg), d_h=build_d_h(cfg),
-        e_h=build_e_h(cfg), e_g=build_e_g(cfg),
-    )
-    for net in (nets.g_a, nets.g_l, nets.g_h, nets.d_l, nets.d_h, nets.e_h, nets.e_g):
+    graphs = symbolic_model_set(cfg)
+    for net in graphs.values():      # fixed order: it sets the initial weights
         net.build(store, rng, dtype)
-    return nets
+    return ModelSet(cfg=cfg, store=store, **graphs)
 
 
 def symbolic_model_set(cfg: NetConfig):

@@ -46,13 +46,11 @@ class ParamStore:
         for p in self.params.values():
             p.zero_grad()
 
-    def set_trainable(self, prefixes, trainable: bool = True) -> None:
-        """Flip requires_grad for every parameter under the given prefixes."""
-        if isinstance(prefixes, str):
-            prefixes = [prefixes]
+    def train_only(self, prefixes) -> None:
+        """Make exactly the parameters under ``prefixes`` (one prefix or a
+        tuple of them) trainable, and freeze every other one."""
         for name, p in self.params.items():
-            if any(name.startswith(pre) for pre in prefixes):
-                p.requires_grad = trainable
+            p.requires_grad = name.startswith(prefixes)
 
     def parameter_hash(self, prefix: str = "") -> int:
         """Order-stable hash of raw parameter bytes, for update-isolation checks."""

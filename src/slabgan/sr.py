@@ -23,9 +23,9 @@ from . import tensor as T
 from .geometry import SliceWindow, check_volume, sample_r
 from .layers import Act, Conv3d, GroupNorm, Interp, Sequential
 from .networks import NetConfig, build_d_h
-from .optim import ParamStore, optimize
+from .optim import ParamStore
 from .tensor import Tensor, no_grad
-from .training import (_encode_rng, checked_loss, gan_d_loss, gan_g_loss, read_checkpoint,
+from .training import (_encode_rng, batch_update, gan_d_loss, gan_g_loss, read_checkpoint,
                        restore_store, step_guard, write_store_checkpoint)
 
 # interior agreement margin between slab and full-volume SR, in input
@@ -182,10 +182,11 @@ def sr_train_step(state: SRState, pairs: list) -> dict:
     """One alternation (D step then G step) on a batch of PairedSamples.
 
     Volumes of the wrong shape, non-finite or outside [-1, 1] raise
-    ValueError before anything runs. Each step checks its loss before its
-    optimizer update (TrainingDiverged); a call that raises leaves
-    ``step`` unchanged and the tape empty, and the rng too if it raised
-    before the D update (see ``training.step_guard``).
+    ValueError before anything runs. Each step is one
+    ``training.batch_update``, which checks its loss before the optimizer
+    update (TrainingDiverged). ``training.step_guard`` advances ``step``
+    only when both updates succeeded; a call that raises leaves the tape
+    empty, and the rng unchanged if it raised before the D update.
     """
     cfg = state.cfg
     if not pairs:
@@ -193,9 +194,7 @@ def sr_train_step(state: SRState, pairs: list) -> dict:
     pairs = [PairedSample(hr=check_volume(p.hr, (cfg.hr_resolution,) * 3),
                           lr=check_volume(p.lr, (cfg.lr_resolution,) * 3)) for p in pairs]
     with step_guard(state):
-        report = _sr_alternate(state, pairs)
-    state.step += 1
-    return report
+        return _sr_alternate(state, pairs)
 
 
 def _sr_alternate(state: SRState, pairs: list) -> dict:
@@ -209,42 +208,29 @@ def _sr_alternate(state: SRState, pairs: list) -> dict:
         hr_sub = p.hr[None, w.high_start:w.high_start + w.high_length]
         return lr_sub, hr_sub
 
-    # discriminator step
-    store.set_trainable(["sr_g/"], False)
-    store.set_trainable(["sr_d/"], True)
-    loss = None
-    d_t = 0.0
-    for p in pairs:
+    def d_term(p: PairedSample):
         lr_sub, hr_sub = windows(p)
         with no_grad():
             fake = state.gen(Tensor(lr_sub))
         logit_real, _ = state.disc(_disc_input(Tensor(lr_sub), Tensor(hr_sub), True))
         logit_fake, _ = state.disc(_disc_input(Tensor(lr_sub), fake, True))
-        term = gan_d_loss(logit_real, logit_fake)
-        d_t += term.item()
-        loss = term if loss is None else T.add(loss, term)
-    report["d"] = d_t / len(pairs)
-    optimize(store, checked_loss(state.step, T.mul(loss, 1.0 / len(pairs)), report), cfg.lr_d)
+        loss = gan_d_loss(logit_real, logit_fake)
+        return loss, {"d": loss.item()}
 
-    # generator step
-    store.set_trainable(["sr_d/"], False)
-    store.set_trainable(["sr_g/"], True)
-    loss = None
-    g_t = l1_t = 0.0
-    for p in pairs:
+    def g_term(p: PairedSample):
         lr_sub, hr_sub = windows(p)
         lr_t, hr_t = Tensor(lr_sub), Tensor(hr_sub)
         fake = state.gen(lr_t)
         logit_fake, _ = state.disc(_disc_input(lr_t, fake, True))
         adv = gan_g_loss(logit_fake)
         rec = l1_norm(fake, hr_t)
-        term = T.add(adv, T.mul(rec, cfg.lam))
-        g_t += adv.item()
-        l1_t += rec.item() / hr_t.size      # per-voxel value for the log
-        loss = term if loss is None else T.add(loss, term)
-    report["g_adv"] = g_t / len(pairs)
-    report["l1"] = l1_t / len(pairs)
-    optimize(store, checked_loss(state.step, T.mul(loss, 1.0 / len(pairs)), report), cfg.lr_g)
+        loss = T.add(adv, T.mul(rec, cfg.lam))
+        return loss, {"g_adv": adv.item(), "l1": rec.item() / hr_t.size}   # l1 per voxel
+
+    store.train_only("sr_d/")
+    batch_update(store, state.step, pairs, d_term, 1.0, cfg.lr_d, report)
+    store.train_only("sr_g/")
+    batch_update(store, state.step, pairs, g_term, 1.0, cfg.lr_g, report)
     return report
 
 

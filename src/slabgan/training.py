@@ -7,6 +7,15 @@ updating only the global encoder. One window draw per batch governs both
 the low-resolution selector inside generation and the high-resolution
 selector on real data.
 
+``_alternate`` holds the four phases as one table of (phase, trainable
+prefixes, per-sample loss term, loss weight, learning rate). For each
+phase it freezes every parameter outside the prefixes
+(``_only_trainable``) and hands the batch to ``batch_update``, which sums
+the sample terms, averages their logged values into the report, scales
+the sum by weight / batch size, checks it and runs the optimizer. The
+super-resolution trainer (``sr.py``) runs its D and G steps through the
+same helper.
+
 Discriminator logits are raw; the losses use stable log-sigmoid forms.
 The generator objective defaults to the non-saturating -log sigmoid(D(fake));
 the saturating textbook form is available behind a flag.
@@ -108,11 +117,7 @@ def init_train_state(cfg: NetConfig, seed: int, weights: LossWeights | None = No
 
 
 def _only_trainable(state: TrainState, prefixes) -> None:
-    store = state.store
-    every = state.nets.generator_prefixes + state.nets.discriminator_prefixes \
-        + state.nets.encoder_prefixes
-    store.set_trainable(list(every), False)
-    store.set_trainable(list(prefixes), True)
+    state.store.train_only(prefixes)
 
 
 def _sample_latent(state: TrainState, label: int | None) -> Tensor:
@@ -169,9 +174,11 @@ ALL_PHASES = ("d", "g", "eh", "eg")
 
 @contextlib.contextmanager
 def step_guard(state):
-    """Undo what a failed training step leaves behind.
+    """Count a training step that succeeded; undo what a failed one leaves.
 
-    On any exception out of the block the gradient tape is cleared, so no
+    When the block completes, ``state.step`` advances by one; it is the
+    only place a training step is counted. On any exception out of the
+    block ``step`` stays as it was and the gradient tape is cleared, so no
     activation stays pinned. If no optimizer update ran before it, the
     rng is put back too, so the step leaves the state as it found it and
     a retry draws the same windows and latents. After an update the rng
@@ -188,6 +195,7 @@ def step_guard(state):
         if _adam_updates(state.store) == updates:
             state.rng.bit_generator.state = rng_state
         raise
+    state.step += 1
 
 
 def _adam_updates(store) -> int:
@@ -195,17 +203,31 @@ def _adam_updates(store) -> int:
     return sum(s[2] for s in store.adam_state.values())
 
 
-def checked_loss(step: int, loss: Tensor, report: dict) -> Tensor:
-    """``loss``, or TrainingDiverged if it or a report value is non-finite."""
+def batch_update(store, step: int, items, term, weight: float, lr: float, report: dict,
+                 clip_norm: float | None = None) -> None:
+    """One optimizer update on the weighted mean of a per-sample loss.
+
+    ``term(item)`` returns one sample's loss and a dict of the values it
+    logs. The losses are summed in item order, each logged value is
+    averaged over ``items`` into ``report``, and the sum is scaled by
+    ``weight / len(items)``. If that loss or any report value is
+    non-finite, TrainingDiverged (carrying ``step`` and ``report``) is
+    raised before any parameter changes; otherwise ``optimize`` updates
+    the trainable parameters of ``store``.
+    """
+    loss = None
+    sums: dict = {}
+    for item in items:
+        value, logged = term(item)
+        for k, v in logged.items():
+            sums[k] = sums.get(k, 0.0) + v
+        loss = value if loss is None else T.add(loss, value)
+    for k, v in sums.items():
+        report[k] = v / len(items)
+    loss = T.mul(loss, weight / len(items))
     if not (np.isfinite(loss.item()) and all(np.isfinite(v) for v in report.values())):
         raise TrainingDiverged(step, report)
-    return loss
-
-
-def _update(state: TrainState, loss: Tensor, scale: float, lr: float, report: dict) -> None:
-    """Scale a phase's loss, check it, then run the optimizer update."""
-    optimize(state.store, checked_loss(state.step, T.mul(loss, scale), report), lr,
-             state.clip_norm)
+    optimize(store, loss, lr, clip_norm)
 
 
 def train_step(state: TrainState, batch_high: list, labels: list | None = None,
@@ -213,12 +235,14 @@ def train_step(state: TrainState, batch_high: list, labels: list | None = None,
     """One full alternation over a batch of (D, H, W) volumes in [-1, 1].
 
     Returns the per-step loss report. A volume of the wrong shape, with a
-    non-finite value or outside [-1, 1] raises ValueError before anything
-    runs. Each phase checks its loss before its optimizer update and
-    raises TrainingDiverged if it is non-finite, so a diverged phase
-    writes no parameter; the phases before it keep their updates. A step
-    that raises leaves ``step`` unchanged and the tape empty, and, if it
-    raised before any update, the rng too (see ``step_guard``).
+    non-finite value or outside [-1, 1], or a class label outside the
+    model's range, raises ValueError before anything runs. Each phase is
+    one ``batch_update``, which checks the phase's loss before its
+    optimizer update and raises TrainingDiverged if it is non-finite, so
+    a diverged phase writes no parameter; the phases before it keep their
+    updates. ``step_guard`` advances ``step`` only when the whole
+    alternation succeeded; a step that raises leaves the tape empty and,
+    if it raised before any update, the rng unchanged.
     ``phases`` restricts the alternation (testing hook).
     """
     cfg = state.cfg
@@ -226,102 +250,78 @@ def train_step(state: TrainState, batch_high: list, labels: list | None = None,
     if not n:
         raise ValueError("empty batch")
     batch_high = [check_volume(v, (cfg.full_resolution,) * 3) for v in batch_high]
-    if cfg.num_classes and (labels is None or len(labels) != n):
-        raise ValueError("conditional training needs one label per sample")
+    if cfg.num_classes:
+        if labels is None or len(labels) != n:
+            raise ValueError("conditional training needs one label per sample")
+        for lab in labels:
+            state.nets.class_code(lab)      # ValueError for a class outside the model
     with step_guard(state):
-        report = _alternate(state, batch_high, labels if cfg.num_classes else [None] * n,
-                            phases)
-    state.step += 1
-    return report
+        return _alternate(state, batch_high, labels if cfg.num_classes else [None] * n,
+                          phases)
 
 
 def _alternate(state: TrainState, batch_high: list, labels: list, phases) -> dict:
     """The phases of one ``train_step`` on validated volumes."""
-    nets, cfg = state.nets, state.cfg
-    n = len(batch_high)
-    conditional = bool(cfg.num_classes)
+    nets = state.nets
+    conditional = bool(state.cfg.num_classes)
 
     w = _current_window(state)
     lows = [downsample_volume(v, 4) for v in batch_high]
     report = {"step": state.step, "r": w.start}
 
-    # ---- phase 1: discriminators -------------------------------------------
-    if "d" in phases:
-        _only_trainable(state, nets.discriminator_prefixes)
-        d_low_t = d_high_t = cls_t = 0.0
-        loss = None
-        for vol, low, lab in zip(batch_high, lows, labels):
-            with no_grad():
-                z = _sample_latent(state, lab)
-                fake_low, fake_sub = _generate_windowed(state, z, w)
-            real_low = Tensor(low[None])
-            real_sub = Tensor(select_high_np(vol, w))
-            lr_logit, lr_cls = nets.d_l(real_low)
-            lf_logit, lf_cls = nets.d_l(fake_low)
-            hr_logit, hr_cls = nets.d_h(real_sub)
-            hf_logit, hf_cls = nets.d_h(fake_sub)
-            d_low = gan_d_loss(lr_logit, lf_logit)
-            d_high = gan_d_loss(hr_logit, hf_logit)
-            term = T.add(d_low, d_high)
-            if conditional:
-                cl = class_loss(lr_cls, lab) + class_loss(lf_cls, lab) \
-                    + class_loss(hr_cls, lab) + class_loss(hf_cls, lab)
-                term = T.add(term, cl)
-                cls_t += cl.item()
-            d_low_t += d_low.item()
-            d_high_t += d_high.item()
-            loss = term if loss is None else T.add(loss, term)
-        report["d_low"] = d_low_t / n
-        report["d_high"] = d_high_t / n
-        if conditional:
-            report["class"] = cls_t / n
-        _update(state, loss, 1.0 / n, state.lr_d, report)
-
-    # ---- phase 2: generators ------------------------------------------------
-    if "g" in phases:
-        _only_trainable(state, nets.generator_prefixes)
-        g_low_t = g_high_t = 0.0
-        loss = None
-        for lab in labels:
+    def d_term(sample):
+        vol, low, lab = sample
+        with no_grad():
             z = _sample_latent(state, lab)
             fake_low, fake_sub = _generate_windowed(state, z, w)
-            lf_logit, lf_cls = nets.d_l(fake_low)
-            hf_logit, hf_cls = nets.d_h(fake_sub)
-            g_low = gan_g_loss(lf_logit, state.saturating)
-            g_high = gan_g_loss(hf_logit, state.saturating)
-            term = T.add(g_low, g_high)
-            if conditional:
-                term = T.add(term, class_loss(lf_cls, lab) + class_loss(hf_cls, lab))
-            g_low_t += g_low.item()
-            g_high_t += g_high.item()
-            loss = term if loss is None else T.add(loss, term)
-        report["g_low"] = g_low_t / n
-        report["g_high"] = g_high_t / n
-        _update(state, loss, 1.0 / n, state.lr_g, report)
+        real_low = Tensor(low[None])
+        real_sub = Tensor(select_high_np(vol, w))
+        lr_logit, lr_cls = nets.d_l(real_low)
+        lf_logit, lf_cls = nets.d_l(fake_low)
+        hr_logit, hr_cls = nets.d_h(real_sub)
+        hf_logit, hf_cls = nets.d_h(fake_sub)
+        d_low = gan_d_loss(lr_logit, lf_logit)
+        d_high = gan_d_loss(hr_logit, hf_logit)
+        loss = T.add(d_low, d_high)
+        logged = {"d_low": d_low.item(), "d_high": d_high.item()}
+        if conditional:
+            cl = class_loss(lr_cls, lab) + class_loss(lf_cls, lab) \
+                + class_loss(hr_cls, lab) + class_loss(hf_cls, lab)
+            loss = T.add(loss, cl)
+            logged["class"] = cl.item()
+        return loss, logged
 
-    # ---- phase 3: slab encoder (only e_h updates) ---------------------------
-    if "eh" in phases:
-        _only_trainable(state, ("e_h/",))
-        loss = None
-        rec_h_t = 0.0
-        for vol in batch_high:
-            term = recon_slab_loss(state, vol, w)
-            rec_h_t += term.item()
-            loss = term if loss is None else T.add(loss, term)
-        report["rec_h"] = rec_h_t / n
-        _update(state, loss, state.weights.lambda1 / n, state.lr_e, report)
+    def g_term(sample):
+        lab = sample[2]
+        fake_low, fake_sub = _generate_windowed(state, _sample_latent(state, lab), w)
+        lf_logit, lf_cls = nets.d_l(fake_low)
+        hf_logit, hf_cls = nets.d_h(fake_sub)
+        g_low = gan_g_loss(lf_logit, state.saturating)
+        g_high = gan_g_loss(hf_logit, state.saturating)
+        loss = T.add(g_low, g_high)
+        if conditional:
+            loss = T.add(loss, class_loss(lf_cls, lab) + class_loss(hf_cls, lab))
+        return loss, {"g_low": g_low.item(), "g_high": g_high.item()}
 
-    # ---- phase 4: global encoder (only e_g updates) --------------------------
-    if "eg" in phases:
-        _only_trainable(state, ("e_g/",))
-        loss = None
-        rec_g_t = 0.0
-        for vol, low, lab in zip(batch_high, lows, labels):
-            term = recon_global_loss(state, vol, low, w, lab)
-            rec_g_t += term.item()
-            loss = term if loss is None else T.add(loss, term)
-        report["rec_g"] = rec_g_t / n
-        _update(state, loss, state.weights.lambda2 / n, state.lr_e, report)
+    def eh_term(sample):
+        loss = recon_slab_loss(state, sample[0], w)
+        return loss, {"rec_h": loss.item()}
+
+    def eg_term(sample):
+        vol, low, lab = sample
+        loss = recon_global_loss(state, vol, low, w, lab)
+        return loss, {"rec_g": loss.item()}
+
+    samples = list(zip(batch_high, lows, labels))
+    for phase, prefixes, term, weight, lr in (
+            ("d", nets.discriminator_prefixes, d_term, 1.0, state.lr_d),
+            ("g", nets.generator_prefixes, g_term, 1.0, state.lr_g),
+            ("eh", ("e_h/",), eh_term, state.weights.lambda1, state.lr_e),
+            ("eg", ("e_g/",), eg_term, state.weights.lambda2, state.lr_e)):
+        if phase in phases:
+            _only_trainable(state, prefixes)
+            batch_update(state.store, state.step, samples, term, weight, lr, report,
+                         state.clip_norm)
     return report
 
 

@@ -86,6 +86,24 @@ class TestGenerateFull:
         assert np.array_equal(sub[:, m:-m], crop[:, m:-m])
 
 
+class TestClassIndex:
+    @pytest.fixture(scope="class")
+    def cond_nets(self):
+        cfg = desk_config(full_resolution=32, latent_dim=16, base_channels=4, num_classes=5)
+        return build_model_set(cfg, np.random.default_rng(3))
+
+    @pytest.mark.parametrize("c", [-1, 5])
+    def test_out_of_range_class_rejected(self, cond_nets, c):
+        with pytest.raises(ValueError, match="class index"):
+            generate_full(cond_nets, np.zeros(16, np.float32), c=c)
+        with pytest.raises(ValueError, match="class index"):
+            encode_full(cond_nets, np.zeros((32, 32, 32), np.float32), c=c)
+
+    def test_encoded_class_code(self, cond_nets):
+        code = encode_full(cond_nets, np.zeros((32, 32, 32), np.float32), c=4)
+        assert np.array_equal(code.class_onehot, np.eye(5, dtype=np.float32)[4])
+
+
 class TestEncodeFull:
     def test_shape(self, nets):
         vol = np.random.default_rng(3).uniform(-1, 1, (64, 64, 64)).astype(np.float32)

@@ -11,6 +11,8 @@ import pytest
 from slabgan.cli import main
 from slabgan.config import (ConfigError, RunConfig, build_fingerprint,
                             load_run_config, parse_config_file)
+from slabgan.networks import desk_config
+from slabgan.training import init_train_state, save_checkpoint
 from slabgan.volio import VolumeFormatError, volume_read, volume_write
 
 
@@ -105,6 +107,14 @@ class TestCLI:
     def test_runtime_error_exit_2(self, tmp_path):
         rc = main(["generate", "--checkpoint", str(tmp_path / "missing.bin"),
                    "--seed", "1", "--out", str(tmp_path / "o"), "--n", "1"])
+        assert rc == 2
+
+    def test_class_out_of_range_exit_2(self, tmp_path):
+        cfg = desk_config(full_resolution=32, latent_dim=16, base_channels=4, num_classes=5)
+        ck = tmp_path / "ck.bin"
+        save_checkpoint(init_train_state(cfg, seed=1), ck)
+        rc = main(["generate", "--checkpoint", str(ck), "--class", "7", "--seed", "1",
+                   "--out", str(tmp_path / "o"), "--n", "1"])
         assert rc == 2
 
     def test_phantoms_writes_volumes_and_manifest(self, tmp_path):

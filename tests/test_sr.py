@@ -90,8 +90,7 @@ class TestGenerator:
         lr = rng.uniform(-1, 1, (1, 4, 8, 8))
         names = [n for n in state.store.names() if n.startswith("sr_g/")]
         tens = [state.store[n] for n in names]
-        state.store.set_trainable(["sr_g/"], True)
-        state.store.set_trainable(["sr_d/"], False)
+        state.store.train_only("sr_g/")
         out = state.gen(Tensor(lr))
         T.backward(T.tmean(T.square(out)))
         from conftest import finite_difference, rel_err

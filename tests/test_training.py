@@ -10,11 +10,11 @@ from slabgan import tensor as T
 from slabgan import training
 from slabgan.geometry import SliceWindow
 from slabgan.networks import build_model_set, desk_config
-from slabgan.optim import adam_step
+from slabgan.optim import ParamStore, adam_step
 from slabgan.phantoms import phantom_dataset
 from slabgan.tensor import Tensor, backward
 from slabgan.training import (CheckpointError, LossWeights, TrainingDiverged,
-                              _only_trainable, class_loss, downsample_volume,
+                              _only_trainable, batch_update, class_loss, downsample_volume,
                               format_report, gan_d_loss, gan_g_loss,
                               init_train_state, l1_loss, load_checkpoint,
                               recon_global_loss, recon_slab_loss,
@@ -185,6 +185,71 @@ class TestUpdateIsolation:
                 assert before[g] == after[g], f"{g} must not change in phase {phase}"
 
 
+class TestPhaseHooks:
+    """Each phase starts with one call of the module-global
+    ``_only_trainable`` with the phase's prefixes; the benchmark marks its
+    phase spans by wrapping it."""
+
+    @staticmethod
+    def record(monkeypatch):
+        calls = []
+        original = training._only_trainable
+
+        def recording(state, prefixes):
+            calls.append(tuple(prefixes))
+            original(state, prefixes)
+        monkeypatch.setattr(training, "_only_trainable", recording)
+        return calls
+
+    def test_full_step_marks_four_phases_in_order(self, monkeypatch):
+        calls = self.record(monkeypatch)
+        state = tiny_state(40)
+        train_step(state, [np.zeros((32, 32, 32), np.float32)])
+        assert calls == [("d_l/", "d_h/"), ("g_a/", "g_l/", "g_h/"), ("e_h/",), ("e_g/",)]
+        assert calls[:2] == [state.nets.discriminator_prefixes, state.nets.generator_prefixes]
+
+    def test_restricted_step_marks_only_its_phase(self, monkeypatch):
+        calls = self.record(monkeypatch)
+        train_step(tiny_state(41), [np.zeros((32, 32, 32), np.float32)], phases=("eh",))
+        assert calls == [("e_h/",)]
+
+
+class TestBatchUpdate:
+    ITEMS = [np.array([1.0, 2.0, 3.0]), np.array([-4.0, 0.5, 1.0]),
+             np.array([2.0, 2.0, -1.0])]
+
+    @staticmethod
+    def toy_store():
+        store = ParamStore()
+        store.register("p", Tensor(np.array([0.5, -1.0, 2.0])))
+        return store
+
+    def test_logs_averaged_and_gradient_scaled(self):
+        store = self.toy_store()
+
+        def term(a):
+            return T.tsum(T.mul(store["p"], Tensor(a))), {"first": float(a[0]),
+                                                          "sum": float(a.sum())}
+        report = {"step": 3}
+        batch_update(store, 3, self.ITEMS, term, 5.0, 1e-3, report)
+        assert report == {"step": 3, "first": (1.0 - 4.0 + 2.0) / 3,
+                          "sum": (6.0 + -2.5 + 3.0) / 3}
+        # with beta1 = 0, Adam's first moment is exactly the gradient it got
+        grad = store.adam_state["p"][0]
+        np.testing.assert_allclose(grad, 5.0 / 3 * sum(self.ITEMS), rtol=1e-12)
+
+    def test_non_finite_log_value_blocks_update(self):
+        store = self.toy_store()
+        before = store["p"].data.copy()
+
+        def term(a):
+            return T.tsum(T.mul(store["p"], Tensor(a))), {"v": float("nan")}
+        with pytest.raises(TrainingDiverged) as exc:
+            batch_update(store, 9, self.ITEMS, term, 1.0, 1e-3, {})
+        assert exc.value.step == 9
+        assert np.array_equal(store["p"].data, before) and not store.adam_state
+
+
 class TestTrainStep:
     def test_report_fields_and_finiteness(self):
         state = tiny_state(10)
@@ -222,6 +287,17 @@ class TestTrainStep:
         vols = [np.zeros((32, 32, 32), np.float32)]
         with pytest.raises(ValueError):
             train_step(state, vols)
+
+    @pytest.mark.parametrize("label", [7, -1])
+    def test_label_out_of_range_rejected(self, label):
+        state = tiny_state(38, num_classes=5)
+        vols = [np.zeros((32, 32, 32), np.float32)]
+        before = state.store.parameter_hash()
+        rng_before = state.rng.bit_generator.state
+        with pytest.raises(ValueError, match="class index"):
+            train_step(state, vols, labels=[label])
+        assert state.store.parameter_hash() == before and state.step == 0
+        assert state.rng.bit_generator.state == rng_before
 
     def test_divergence_detected(self):
         state = tiny_state(17)
