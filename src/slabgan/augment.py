@@ -16,9 +16,9 @@ import numpy as np
 from . import tensor as T
 from .inference import generate_full
 from .networks import NetConfig, build_classifier
-from .optim import ParamStore, optimize
+from .optim import ParamStore
 from .tensor import Tensor, no_grad
-from .training import downsample_volume
+from .training import batch_update, downsample_volume, step_guard
 
 
 @dataclass
@@ -38,21 +38,28 @@ def build_classifier_state(cfg: NetConfig, seed: int, n_classes: int = 5) -> Cla
 
 def classifier_train(state: ClassifierState, volumes: np.ndarray, labels: np.ndarray,
                      steps: int, lr: float = 1e-4, batch_size: int = 8) -> list:
-    """Cross-entropy training; volumes are classifier-resolution (D, H, W)."""
+    """Cross-entropy training; volumes are classifier-resolution (D, H, W).
+
+    Returns each step's mean per-sample loss. Each step is one
+    ``batch_update`` under ``step_guard``: a non-finite loss raises
+    TrainingDiverged before any parameter changes, and leaves ``step`` and
+    the rng as they were.
+    """
     losses = []
     n = len(volumes)
     state.store.train_only("cls/")
+
+    def term(i):
+        logits = state.net(Tensor(volumes[i][None]), training=True)
+        loss = T.cross_entropy_logits(logits, int(labels[i]))
+        return loss, {"loss": loss.item()}
+
     for _ in range(steps):
-        idx = state.rng.choice(n, size=min(batch_size, n), replace=False)
-        loss = None
-        for i in idx:
-            logits = state.net(Tensor(volumes[i][None]), training=True)
-            term = T.cross_entropy_logits(logits, int(labels[i]))
-            loss = term if loss is None else T.add(loss, term)
-        loss = T.mul(loss, 1.0 / len(idx))
-        losses.append(loss.item())
-        optimize(state.store, loss, lr)
-        state.step += 1
+        with step_guard(state):
+            idx = state.rng.choice(n, size=min(batch_size, n), replace=False)
+            report: dict = {}
+            batch_update(state.store, state.step, idx, term, 1.0, lr, report)
+        losses.append(report["loss"])
     return losses
 
 

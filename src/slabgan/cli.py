@@ -171,6 +171,16 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _class_index(args, mc, rng: np.random.Generator) -> int | None:
+    """The class to sample: ``--class`` when given, otherwise one drawn from
+    ``rng``; None for an unconditional model."""
+    if not mc.num_classes:
+        return None
+    if args.class_index is not None:
+        return args.class_index
+    return int(rng.integers(0, mc.num_classes))
+
+
 def cmd_generate(args) -> int:
     from .inference import generate_full
     from .training import load_checkpoint
@@ -181,10 +191,7 @@ def cmd_generate(args) -> int:
     mc = state.cfg
     for i in range(args.n):
         z = rng.standard_normal(mc.latent_dim).astype(np.float32)
-        c = args.class_index if mc.num_classes else None
-        if mc.num_classes and c is None:
-            c = int(rng.integers(0, mc.num_classes))
-        vol = generate_full(state.nets, z, c=c)
+        vol = generate_full(state.nets, z, c=_class_index(args, mc, rng))
         volume_write(os.path.join(out, f"gen_{i:04d}.hagv"), vol)
     write_manifest(out, cfg, {"n_volumes": args.n, "checkpoint": args.checkpoint})
     print(f"wrote {args.n} volumes to {out}")
@@ -234,8 +241,7 @@ def cmd_interpolate(args) -> int:
     mc = state.cfg
     z_a = rng.standard_normal(mc.latent_dim).astype(np.float32)
     z_b = rng.standard_normal(mc.latent_dim).astype(np.float32)
-    c = args.class_index if mc.num_classes else None
-    vols = interpolate(state.nets, z_a, z_b, args.n, c=c)
+    vols = interpolate(state.nets, z_a, z_b, args.n, c=_class_index(args, mc, rng))
     for i, v in enumerate(vols):
         volume_write(os.path.join(out, f"interp_{i:02d}.hagv"), v)
     write_manifest(out, cfg, {"n_volumes": len(vols)})

@@ -16,17 +16,22 @@ from .optim import ParamStore
 from .tensor import Tensor
 
 
-def gn_groups(channels: int, preferred: int = 8, min_group_size: int = 8) -> int:
-    """Group count for group norm: largest power of two <= preferred that
-    keeps at least ``min_group_size`` channels per group.
+GN_MAX_GROUPS = 8
+GN_MIN_GROUP_SIZE = 8
+
+
+def gn_groups(channels: int) -> int:
+    """Group count for group norm: the largest power of two up to
+    ``GN_MAX_GROUPS`` that keeps at least ``GN_MIN_GROUP_SIZE`` channels
+    per group.
 
     Keeping groups wide preserves inter-channel structure when channel
     counts shrink at small scales; one-channel groups would reduce to
     instance norm and erase global intensity variation per channel.
     """
     g = 1
-    while (g * 2 <= preferred and channels % (g * 2) == 0
-           and channels // (g * 2) >= min_group_size):
+    while (g * 2 <= GN_MAX_GROUPS and channels % (g * 2) == 0
+           and channels // (g * 2) >= GN_MIN_GROUP_SIZE):
         g *= 2
     return g
 
@@ -39,9 +44,6 @@ class Layer:
     """Base layer: subclasses fill in shape logic and forward."""
 
     def param_shapes(self) -> dict:
-        return {}
-
-    def buffer_shapes(self) -> dict:
         return {}
 
     def out_shape(self, in_shape):
@@ -61,18 +63,14 @@ class Layer:
 
 
 class Dense(Layer):
-    def __init__(self, f_in: int, f_out: int, spectral: bool = False, power_iters: int = 1):
+    def __init__(self, f_in: int, f_out: int, spectral: bool = False):
         self.f_in, self.f_out = f_in, f_out
         self.spectral = spectral
-        self.power_iters = power_iters
         self.w = self.b = None
         self.u = None
 
     def param_shapes(self):
         return {"weight": (self.f_out, self.f_in), "bias": (self.f_out,)}
-
-    def buffer_shapes(self):
-        return {"u": (self.f_out,)} if self.spectral else {}
 
     def out_shape(self, in_shape):
         if in_shape[-1] != self.f_in:
@@ -93,29 +91,24 @@ class Dense(Layer):
     def forward(self, x, training):
         w = self.w
         if self.spectral:
-            w, _ = T.spectral_norm(self.w, self.u,
-                                   power_iters=self.power_iters, update=training)
+            w, _ = T.spectral_norm(self.w, self.u, update=training)
         return T.dense(x, w, self.b)
 
 
 class Conv3d(Layer):
     def __init__(self, c_in: int, c_out: int, kernel, stride=1, pad=0,
-                 spectral: bool = False, power_iters: int = 1, zero_init: bool = False):
+                 spectral: bool = False, zero_init: bool = False):
         self.c_in, self.c_out = c_in, c_out
         self.kernel = T._triple(kernel)
         self.stride = T._triple(stride)
         self.pad = T._triple(pad)
         self.spectral = spectral
-        self.power_iters = power_iters
         self.zero_init = zero_init
         self.w = self.b = None
         self.u = None
 
     def param_shapes(self):
         return {"weight": (self.c_out, self.c_in) + self.kernel, "bias": (self.c_out,)}
-
-    def buffer_shapes(self):
-        return {"u": (self.c_out,)} if self.spectral else {}
 
     def out_shape(self, in_shape):
         c, d, h, w = in_shape
@@ -147,17 +140,14 @@ class Conv3d(Layer):
     def forward(self, x, training):
         w = self.w
         if self.spectral:
-            w, _ = T.spectral_norm(self.w, self.u,
-                                   power_iters=self.power_iters, update=training)
+            w, _ = T.spectral_norm(self.w, self.u, update=training)
         return T.conv3d(x, w, self.b, stride=self.stride, pad=self.pad)
 
 
 class GroupNorm(Layer):
-    def __init__(self, channels: int, groups: int | None = None, eps: float = 1e-5,
-                 per_depth_slice: bool = False):
+    def __init__(self, channels: int, per_depth_slice: bool = False):
         self.channels = channels
-        self.groups = groups if groups is not None else gn_groups(channels)
-        self.eps = eps
+        self.groups = gn_groups(channels)
         self.per_depth_slice = per_depth_slice
         self.gamma = self.beta = None
 
@@ -172,23 +162,18 @@ class GroupNorm(Layer):
         self.beta = store.register(f"{name}/beta", Tensor(np.zeros(self.channels, dtype=dtype)))
 
     def forward(self, x, training):
-        return T.group_norm(x, self.groups, self.gamma, self.beta, eps=self.eps,
+        return T.group_norm(x, self.groups, self.gamma, self.beta,
                             per_depth_slice=self.per_depth_slice)
 
 
 class BatchNorm(Layer):
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5):
+    def __init__(self, channels: int):
         self.channels = channels
-        self.momentum = momentum
-        self.eps = eps
         self.gamma = self.beta = None
         self.rmean = self.rvar = None
 
     def param_shapes(self):
         return {"gamma": (self.channels,), "beta": (self.channels,)}
-
-    def buffer_shapes(self):
-        return {"running_mean": (self.channels,), "running_var": (self.channels,)}
 
     def describe(self):
         return "BatchNorm"
@@ -201,7 +186,7 @@ class BatchNorm(Layer):
 
     def forward(self, x, training):
         return T.batch_norm(x, self.gamma, self.beta, self.rmean, self.rvar,
-                            training=training, momentum=self.momentum, eps=self.eps)
+                            training=training)
 
 
 class Act(Layer):
@@ -220,11 +205,10 @@ class Act(Layer):
 class Interp(Layer):
     """Trilinear resampling by per-axis rational scales (half-pixel grid)."""
 
-    def __init__(self, scale, align_corners: bool = False):
+    def __init__(self, scale):
         if isinstance(scale, (int, float)):
             scale = (scale,) * 3
         self.scale = tuple(float(s) for s in scale)
-        self.align_corners = align_corners
 
     def out_shape(self, in_shape):
         c, d, h, w = in_shape
@@ -241,7 +225,7 @@ class Interp(Layer):
 
     def forward(self, x, training):
         out = self.out_shape(x.shape)
-        return T.resize3d(x, [T.interp_plan(n_in, n_out, self.align_corners, x.dtype)
+        return T.resize3d(x, [T.interp_plan(n_in, n_out, False, x.dtype)
                               for n_in, n_out in zip(x.shape[1:], out[1:])])
 
 

@@ -1,15 +1,24 @@
 """Analytic and instrumented accounting of training/inference memory.
 
+Both models count with one class, ``tensor.LiveSet``: live activation
+and gradient bytes over static bytes, with a running peak and the
+activation/gradient split at that peak. The static bytes are the
+parameters and, when training, two Adam moments per parameter; the
+analytic replay starts its LiveSet from them, and the measured reports
+add them from the ParamStore. A report's ``activations_bytes`` and
+``grads_bytes`` are the split at the peak, so the four components add up
+to ``peak_total``.
+
 The analytic model replays one training step (or inference pass) as an
 allocation/free event stream over the builders' symbolic layer shapes,
 under the live-set rule: a taped activation stays live until backward
 consumes the tape, a no-grad activation dies as soon as its consumer has
 run, gradients of interior nodes are freed eagerly in reverse order, and
 parameter gradients live until the optimizer step. The measured model
-instruments real tensor payload allocations during an actual step and
-captures the peak. Both count tensor payload bytes only (no allocator
-slack, no numpy temporaries inside ops), so trends rather than absolute
-megabytes are the meaningful output. The uncounted op workspace is about
+reads the global ``tensor.METER``, which every Tensor feeds, during an
+actual step. Both count tensor payload bytes only (no allocator slack, no
+numpy temporaries inside ops), so trends rather than absolute megabytes
+are the meaningful output. The uncounted op workspace is about
 payload-sized: conv3d builds its im2col matrix in chunks of at most
 ``tensor.CONV_WORKSPACE_BYTES``, so it no longer grows with the volume.
 """
@@ -20,9 +29,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import tensor as T
 from .networks import NetConfig, symbolic_model_set, parameter_count
-from .tensor import METER
+from .tensor import METER, LiveSet
 
 
 @dataclass
@@ -63,73 +71,38 @@ def _nbytes(shape) -> int:
     return int(np.prod(shape)) * _ITEM
 
 
-class _LiveSim:
-    """Running live-set counter with component snapshot at the peak."""
-
-    def __init__(self, static_bytes: int):
-        self.static = static_bytes
-        self.acts = 0
-        self.grads = 0
-        self.peak = static_bytes
-        self.peak_acts = 0
-        self.peak_grads = 0
-
-    def _bump(self):
-        tot = self.static + self.acts + self.grads
-        if tot > self.peak:
-            self.peak = tot
-            self.peak_acts = self.acts
-            self.peak_grads = self.grads
-
-    def aact(self, n: int) -> int:
-        self.acts += n
-        self._bump()
-        return n
-
-    def fact(self, n: int):
-        self.acts -= n
-
-    def agrad(self, n: int) -> int:
-        self.grads += n
-        self._bump()
-        return n
-
-    def fgrad(self, n: int):
-        self.grads -= n
-
-
 def _rows_bytes(net, in_shape=None):
     return [_nbytes(shape) for _, _, shape in net.shapes(in_shape)]
 
 
-def _fwd_taped(sim: _LiveSim, row_bytes, tape: list):
+def _fwd_taped(sim: LiveSet, row_bytes, tape: list):
     for b in row_bytes:
-        tape.append(sim.aact(b))
+        tape.append(sim.add(b))
     return row_bytes[-1] if row_bytes else 0
 
 
-def _fwd_nograd(sim: _LiveSim, row_bytes):
+def _fwd_nograd(sim: LiveSet, row_bytes):
     prev = 0
     for b in row_bytes:
-        sim.aact(b)
+        sim.add(b)
         if prev:
-            sim.fact(prev)
+            sim.add(-prev)
         prev = b
     return prev
 
 
-def _backward(sim: _LiveSim, tape: list, pgrad_bytes: int):
+def _backward(sim: LiveSet, tape: list, pgrad_bytes: int):
     """Reverse sweep: param grads accumulate, interior grads freed eagerly."""
-    sim.agrad(pgrad_bytes)
+    sim.add(grad=pgrad_bytes)
     if tape:
-        gprev = sim.agrad(tape[-1])
+        gprev = sim.add(grad=tape[-1])
         for b in reversed(tape[:-1]):
-            g = sim.agrad(b)
-            sim.fgrad(gprev)
+            g = sim.add(grad=b)
+            sim.add(grad=-gprev)
             gprev = g
-        sim.fgrad(gprev)
+        sim.add(grad=-gprev)
     for b in tape:
-        sim.fact(b)
+        sim.add(-b)
     tape.clear()
     return pgrad_bytes
 
@@ -188,20 +161,20 @@ def analytic_memory(cfg: NetConfig, mode: str, batch_size: int = 2) -> MemoryRep
     z_len = cfg_run.latent_dim + (cfg_run.num_classes or 0)
 
     if mode == "inference":
-        sim = _LiveSim(params_b)
-        sim.aact(_nbytes((z_len,)))
+        sim = LiveSet(params_b)
+        sim.add(_nbytes((z_len,)))
         a_b = _fwd_nograd(sim, _rows_bytes(nets["g_a"]))
         # A stays referenced while g_h consumes it
         _fwd_nograd(sim, _rows_bytes(nets["g_h"], a_full))
-        sim.fact(a_b)
+        sim.add(-a_b)
         return MemoryReport(mode=mode, params_bytes=params_b,
-                            activations_bytes=sim.peak_acts, grads_bytes=0,
-                            optimizer_bytes=0, peak_total=sim.peak,
+                            activations_bytes=sim.peak_act_bytes, grads_bytes=0,
+                            optimizer_bytes=0, peak_total=sim.peak_total,
                             high_res_branch_bytes=high_res_branch_bytes(cfg_run),
                             config=asdict(cfg_run)).check()
 
     opt_b = 2 * params_b
-    sim = _LiveSim(params_b + opt_b)
+    sim = LiveSet(params_b + opt_b)
     g_b = _group_bytes(nets, ("g_a", "g_l", "g_h"))
     d_b = _group_bytes(nets, ("d_l", "d_h"))
     eh_b = _group_bytes(nets, ("e_h",))
@@ -222,76 +195,76 @@ def analytic_memory(cfg: NetConfig, mode: str, batch_size: int = 2) -> MemoryRep
     kept = []
     for _ in range(batch_size):
         a_b = _fwd_nograd(sim, ga_rows)
-        kept.append(sim.aact(_nbytes(x_low)))          # fake low
-        sim.aact(_nbytes(a_win))                       # A window copy
+        kept.append(sim.add(_nbytes(x_low)))          # fake low
+        sim.add(_nbytes(a_win))                       # A window copy
         kept.append(_nbytes(a_win))
-        kept.append(sim.aact(_fwd_nograd(sim, gh_win_rows)))  # fake sub kept
-        sim.fact(a_b)
-        kept.append(sim.aact(_nbytes(x_low)))          # real low tensor
-        kept.append(sim.aact(_nbytes(x_win)))          # real sub tensor
+        kept.append(sim.add(_fwd_nograd(sim, gh_win_rows)))  # fake sub kept
+        sim.add(-a_b)
+        kept.append(sim.add(_nbytes(x_low)))          # real low tensor
+        kept.append(sim.add(_nbytes(x_win)))          # real sub tensor
         _fwd_taped(sim, dl_rows, tape)
         _fwd_taped(sim, dl_rows, tape)
         _fwd_taped(sim, dh_rows, tape)
         _fwd_taped(sim, dh_rows, tape)
     _backward(sim, tape, d_b)
     for b in kept:
-        sim.fact(b)
-    sim.fgrad(d_b)
+        sim.add(-b)
+    sim.add(grad=-d_b)
     kept.clear()
 
     # phase 2: generators ----------------------------------------------------
     for _ in range(batch_size):
         _fwd_taped(sim, ga_rows, tape)
         _fwd_taped(sim, gl_rows, tape)
-        tape.append(sim.aact(_nbytes(a_win)))
+        tape.append(sim.add(_nbytes(a_win)))
         _fwd_taped(sim, gh_win_rows, tape)
         _fwd_taped(sim, dl_rows, tape)
         _fwd_taped(sim, dh_rows, tape)
     _backward(sim, tape, g_b)
-    sim.fgrad(g_b)
+    sim.add(grad=-g_b)
 
     # phase 3: slab encoder ----------------------------------------------------
     for _ in range(batch_size):
-        kept.append(sim.aact(_nbytes(x_win)))          # real sub
+        kept.append(sim.add(_nbytes(x_win)))          # real sub
         _fwd_taped(sim, eh_rows, tape)
         _fwd_taped(sim, gh_win_rows, tape)
     _backward(sim, tape, eh_b)
     for b in kept:
-        sim.fact(b)
-    sim.fgrad(eh_b)
+        sim.add(-b)
+    sim.add(grad=-eh_b)
     kept.clear()
 
     # phase 4: global encoder ---------------------------------------------------
     n_win = cfg_run.n_windows
     for _ in range(batch_size):
-        kept.append(sim.aact(_nbytes((1, full, full, full))))   # X^H tensor
+        kept.append(sim.add(_nbytes((1, full, full, full))))   # X^H tensor
         feats = []
         for _ in range(n_win):
-            wb = sim.aact(_nbytes(x_win))               # window copy
+            wb = sim.add(_nbytes(x_win))               # window copy
             fb = _fwd_nograd(sim, eh_rows)
-            sim.fact(wb)
+            sim.add(-wb)
             feats.append(fb)
-        ahat = sim.aact(_nbytes(a_full))
+        ahat = sim.add(_nbytes(a_full))
         for fb in feats:
-            sim.fact(fb)
+            sim.add(-fb)
         kept.append(ahat)
         _fwd_taped(sim, eg_rows, tape)
         _fwd_taped(sim, ga_rows, tape)
         _fwd_taped(sim, gl_rows, tape)
-        tape.append(sim.aact(_nbytes(a_win)))
+        tape.append(sim.add(_nbytes(a_win)))
         _fwd_taped(sim, gh_win_rows, tape)
-        kept.append(sim.aact(_nbytes(x_low)))           # recon targets
-        kept.append(sim.aact(_nbytes(x_win)))
+        kept.append(sim.add(_nbytes(x_low)))           # recon targets
+        kept.append(sim.add(_nbytes(x_win)))
     _backward(sim, tape, eg_b)
     for b in kept:
-        sim.fact(b)
-    sim.fgrad(eg_b)
+        sim.add(-b)
+    sim.add(grad=-eg_b)
 
     return MemoryReport(mode=f"train_amortized({cfg_run.subvol_multiplier})"
                         if mode == "train_amortized" else mode,
-                        params_bytes=params_b, activations_bytes=sim.peak_acts,
-                        grads_bytes=sim.peak_grads, optimizer_bytes=opt_b,
-                        peak_total=sim.peak,
+                        params_bytes=params_b, activations_bytes=sim.peak_act_bytes,
+                        grads_bytes=sim.peak_grad_bytes, optimizer_bytes=opt_b,
+                        peak_total=sim.peak_total,
                         high_res_branch_bytes=high_res_branch_bytes(cfg_run),
                         config=asdict(cfg_run)).check()
 
@@ -303,27 +276,24 @@ def analytic_memory(cfg: NetConfig, mode: str, batch_size: int = 2) -> MemoryRep
 def measured_memory(run, mode: str = "measured") -> MemoryReport:
     """Run a closure and report the instrumented payload-byte peak.
 
-    The report is relative to the meter state at entry, so concurrent
-    long-lived tensors (e.g. another model) cancel out as long as they
-    stay constant during the run.
+    Every component is the meter's split at the peak of the run minus its
+    state at entry: ``activations_bytes`` and ``grads_bytes`` are the
+    activation and gradient bytes live at the peak, so they add up to
+    ``peak_total``. Long-lived tensors (the model's own parameters,
+    another model) cancel out as long as they stay constant during the
+    run; callers add parameters and optimizer moments as static bytes.
     """
     import gc
     gc.collect()
     base_total = METER.current_total()
-    base_params = METER.param_bytes
-    base_opt = METER.opt_bytes
+    base_act, base_grad = METER.act_bytes, METER.grad_bytes
     METER.reset_peak()
     run()
-    peak = METER.peak_total - base_total
-    return MemoryReport(mode=mode,
-                        params_bytes=METER.param_bytes - base_params,
-                        activations_bytes=max(METER.peak_total - base_total
-                                              - (METER.param_bytes - base_params)
-                                              - (METER.opt_bytes - base_opt)
-                                              - METER.grad_bytes, 0),
-                        grads_bytes=METER.grad_bytes,
-                        optimizer_bytes=METER.opt_bytes - base_opt,
-                        peak_total=peak)
+    return MemoryReport(mode=mode, params_bytes=0,
+                        activations_bytes=METER.peak_act_bytes - base_act,
+                        grads_bytes=METER.peak_grad_bytes - base_grad,
+                        optimizer_bytes=0,
+                        peak_total=METER.peak_total - base_total)
 
 
 def measured_train_peak(cfg: NetConfig, mode: str, seed: int = 0,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import METER, Tensor, backward
+from .tensor import Tensor, backward
 
 
 class ParamStore:
@@ -24,8 +24,6 @@ class ParamStore:
     def register(self, name: str, tensor: Tensor) -> Tensor:
         if name in self.params:
             raise KeyError(f"duplicate parameter name '{name}'")
-        tensor.is_param = True
-        tensor._meter_cell[2] = True
         tensor.requires_grad = True
         self.params[name] = tensor
         return tensor
@@ -81,7 +79,6 @@ def adam_step(store: ParamStore, lr: float, beta1: float = 0.0,
         if state is None:
             m = np.zeros_like(p.data)
             v = np.zeros_like(p.data)
-            METER.register_opt(m.nbytes + v.nbytes)
             state = [m, v, 0]
             store.adam_state[name] = state
         m, v, t = state

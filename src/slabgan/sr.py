@@ -106,16 +106,16 @@ class SRGenerator:
             ("bott", Conv3d(2 * c, 2 * c, (1, 3, 3), 1, (0, 1, 1))),
             ("bnorm", GroupNorm(2 * c, per_depth_slice=True)), ("bact", Act("relu")),
         ], in_shape=self.head.out_shape())
-        self.up_dec = Interp((1, 2, 2), align_corners=False)
+        self.up_dec = Interp((1, 2, 2))
         self.dec = Sequential("sr_g/dec", [
             ("conv", Conv3d(3 * c, c, (1, 3, 3), 1, (0, 1, 1))),
             ("norm", GroupNorm(c, per_depth_slice=True)), ("act", Act("relu")),
         ], in_shape=(3 * c,) + self.head.out_shape()[1:])
-        self.up_out = Interp(2.0, align_corners=False)
+        self.up_out = Interp(2.0)
         self.residual_head = Sequential("sr_g/res", [
             ("conv", Conv3d(c, 1, 3, 1, 1, zero_init=True)),
         ], in_shape=(c,) + tuple(2 * e for e in self.head.out_shape()[1:]))
-        self.up_res = Interp(2.0, align_corners=False)
+        self.up_res = Interp(2.0)
         self.built = False
 
     def build(self, store: ParamStore, rng: np.random.Generator, dtype=np.float32):
@@ -159,7 +159,7 @@ def build_sr(cfg: SRConfig, seed: int, dtype=np.float32) -> SRState:
     return SRState(cfg=cfg, gen=gen, disc=disc, store=store, rng=rng)
 
 
-_UP2 = Interp(2.0, align_corners=False)
+_UP2 = Interp(2.0)
 
 
 def _disc_input(lr_sub: Tensor, hr_sub: Tensor, training: bool) -> Tensor:

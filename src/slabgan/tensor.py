@@ -11,15 +11,21 @@ Volumetric data is channels-first ``(C, D, H, W)``. Training runs in
 float32; gradient tests switch to float64 where finite-difference
 tolerances are actually reachable.
 
-Memory accounting: every Tensor registers its payload bytes (and, when
-allocated, its gradient buffer bytes) with a global meter so that the
-memory model can measure real peaks of a training / inference step.
+Memory accounting: one counter, ``LiveSet``, counts live payload bytes.
+Each Tensor adds its payload bytes to ``METER`` when it is made and its
+gradient buffer bytes when backward allocates one, and subtracts exactly
+those bytes when the gradient is zeroed or the Tensor dies. The meter
+keeps a running peak and the activation/gradient split at that peak; the
+analytic model in ``memory.py`` replays a step into a ``LiveSet`` of its
+own, so measured and analytic reports mean the same thing. ``METER``
+does not tell a parameter from an activation, and it does not count Adam
+moments; memory reports take both as static bytes from the ParamStore.
 Raw numpy temporaries inside ops (op workspace) are intentionally not
-counted by ``METER``. Most are payload-sized (a padded copy, an output
-gradient); conv3d's im2col matrix, which used to be 27x its input, is
-built in chunks of at most ``CONV_WORKSPACE_BYTES``, and resampling runs
-through its axis passes one chunk of channels (``INTERP_CHUNK_BYTES`` of
-output) at a time.
+counted. Most are payload-sized (a padded copy, an output gradient);
+conv3d's im2col matrix, which used to be 27x its input, is built in
+chunks of at most ``CONV_WORKSPACE_BYTES``, and resampling runs through
+its axis passes one chunk of channels (``INTERP_CHUNK_BYTES`` of output)
+at a time.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import warnings
-import weakref
 from typing import NamedTuple
 
 import numpy as np
@@ -62,65 +67,46 @@ def set_finite_checks(on: bool) -> None:
 # live payload meter
 
 
-class MemoryMeter:
-    """Counts live bytes of Tensor payloads, split by kind.
+class LiveSet:
+    """Running count of live activation and gradient bytes over a fixed
+    ``static_bytes`` floor (parameters, optimizer moments).
 
-    ``data`` bytes are split into parameter vs activation by the
-    ``is_param`` flag on the owning Tensor; gradient buffers and optimizer
-    moments are tracked separately. ``peak_total`` is the running peak of
-    the sum, updated on every allocation.
+    Every allocation and every free of a counted buffer goes through
+    ``add`` (frees with negative sizes). ``peak_total`` is the highest
+    total seen since the last ``reset_peak``, and ``peak_act_bytes`` /
+    ``peak_grad_bytes`` are the split at that moment.
     """
 
-    def __init__(self):
-        self.param_bytes = 0
+    def __init__(self, static_bytes: int = 0):
+        self.static_bytes = static_bytes
         self.act_bytes = 0
         self.grad_bytes = 0
-        self.opt_bytes = 0
-        self.peak_total = 0
+        self.reset_peak()
 
     def current_total(self) -> int:
-        return self.param_bytes + self.act_bytes + self.grad_bytes + self.opt_bytes
+        return self.static_bytes + self.act_bytes + self.grad_bytes
 
     def reset_peak(self) -> None:
         self.peak_total = self.current_total()
+        self.peak_act_bytes = self.act_bytes
+        self.peak_grad_bytes = self.grad_bytes
 
-    def _bump(self) -> None:
-        tot = self.current_total()
-        if tot > self.peak_total:
-            self.peak_total = tot
-
-    # cell layout: [data_bytes, grad_bytes, is_param]
-    def register_data(self, cell, nbytes: int) -> None:
-        cell[0] += nbytes
-        if cell[2]:
-            self.param_bytes += nbytes
-        else:
-            self.act_bytes += nbytes
-        self._bump()
-
-    def register_grad(self, cell, nbytes: int) -> None:
-        cell[1] += nbytes
-        self.grad_bytes += nbytes
-        self._bump()
-
-    def release_grad(self, cell) -> None:
-        self.grad_bytes -= cell[1]
-        cell[1] = 0
-
-    def register_opt(self, nbytes: int) -> None:
-        self.opt_bytes += nbytes
-        self._bump()
-
-    def release_cell(self, cell) -> None:
-        if cell[2]:
-            self.param_bytes -= cell[0]
-        else:
-            self.act_bytes -= cell[0]
-        self.grad_bytes -= cell[1]
-        cell[0] = cell[1] = 0
+    def add(self, act: int = 0, grad: int = 0) -> int:
+        """Count ``act`` activation and ``grad`` gradient bytes; returns
+        ``act + grad``. A free lowers the total, so only an allocation can
+        raise the peak."""
+        self.act_bytes += act
+        self.grad_bytes += grad
+        total = self.static_bytes + self.act_bytes + self.grad_bytes
+        if total > self.peak_total:
+            self.peak_total = total
+            self.peak_act_bytes = self.act_bytes
+            self.peak_grad_bytes = self.grad_bytes
+        return act + grad
 
 
-METER = MemoryMeter()
+# the payload and gradient bytes of every live Tensor
+METER = LiveSet()
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +161,12 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "is_param", "_parents",
-                 "_bwd", "_meter_cell", "__weakref__")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_bwd",
+                 "_nbytes", "_grad_nbytes")
 
-    def __init__(self, data, requires_grad: bool = False, is_param: bool = False,
-                 dtype=None):
+    def __init__(self, data, requires_grad: bool = False, dtype=None):
+        # set first, so that a constructor that raises leaves nothing to release
+        self._nbytes = self._grad_nbytes = 0
         if isinstance(data, Tensor):
             raise TypeError("wrap ndarray or scalar, not Tensor")
         arr = np.asarray(data, dtype=dtype)
@@ -188,13 +175,14 @@ class Tensor:
         self.data = arr
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self.is_param = bool(is_param)
         self._parents: tuple = ()
         self._bwd = None
-        cell = [0, 0, is_param]
-        self._meter_cell = cell
-        METER.register_data(cell, arr.nbytes)
-        weakref.finalize(self, METER.release_cell, cell)
+        self._nbytes = METER.add(arr.nbytes)
+
+    def __del__(self, _meter=METER):
+        # releases exactly the bytes this Tensor counted; ``_meter`` is bound
+        # here so that the release still works at interpreter shutdown
+        _meter.add(-self._nbytes, -self._grad_nbytes)
 
     # -- basic introspection ------------------------------------------------
     @property
@@ -221,13 +209,15 @@ class Tensor:
             if g.base is not None or not g.flags.owndata:
                 g = g.copy()
             self.grad = g
-            METER.register_grad(self._meter_cell, g.nbytes)
+            self._grad_nbytes += METER.add(grad=g.nbytes)
         else:
             self.grad += g
 
     def zero_grad(self) -> None:
+        # a gradient assigned to ``grad`` directly was never counted
         if self.grad is not None:
-            METER.release_grad(self._meter_cell)
+            METER.add(grad=-self._grad_nbytes)
+            self._grad_nbytes = 0
             self.grad = None
 
     # -- operator sugar -------------------------------------------------------

@@ -450,7 +450,6 @@ def restore_store(store, header: dict, body: bytes) -> None:
             if st is None:
                 m = np.zeros_like(store.params[key].data)
                 v = np.zeros_like(store.params[key].data)
-                T.METER.register_opt(m.nbytes + v.nbytes)
                 st = [m, v, int(adam_t[key])]
                 store.adam_state[key] = st
             if kind == "adam_m":

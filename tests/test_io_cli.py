@@ -117,6 +117,15 @@ class TestCLI:
                    "--out", str(tmp_path / "o"), "--n", "1"])
         assert rc == 2
 
+    @pytest.mark.parametrize("cls,code", [(None, 0), ("7", 2)])
+    def test_conditional_interpolate(self, tmp_path, cls, code):
+        cfg = desk_config(full_resolution=32, latent_dim=16, base_channels=4, num_classes=5)
+        ck = tmp_path / "ck.bin"
+        save_checkpoint(init_train_state(cfg, seed=1), ck)
+        args = ["interpolate", "--checkpoint", str(ck), "--seed", "1",
+                "--out", str(tmp_path / "o"), "--n", "2"]
+        assert main(args + (["--class", cls] if cls else [])) == code
+
     def test_phantoms_writes_volumes_and_manifest(self, tmp_path):
         out = tmp_path / "ph"
         rc = main(["phantoms", "--n", "4", "--seed", "5", "--resolution", "32",

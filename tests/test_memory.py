@@ -1,5 +1,7 @@
 """Memory model: analytic live-set accounting vs instrumented measurement."""
 
+import gc
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -8,6 +10,8 @@ from slabgan.memory import (MemoryReport, analytic_memory, high_res_branch_bytes
                             measured_inference_peak, measured_train_peak,
                             resolution_sweep)
 from slabgan.networks import desk_config, parameter_count, reference_config, symbolic_model_set
+from slabgan.tensor import METER
+from slabgan.training import init_train_state, train_step
 
 DESK = desk_config()
 
@@ -110,3 +114,29 @@ class TestResolutionSweep:
             replace(ref, full_resolution=32).validate()))
         n256 = parameter_count(symbolic_model_set(ref))
         assert n256 / n32 < 1.10
+
+
+class TestMeter:
+    def test_state_released_after_delete(self):
+        gc.collect()
+        before = METER.current_total()
+        state = init_train_state(DESK, seed=0)
+        vols = [np.random.default_rng(1).uniform(-1, 1, (64,) * 3).astype(np.float32)
+                for _ in range(2)]
+        train_step(state, vols)
+        assert state.store.adam_state
+        del state
+        gc.collect()
+        assert METER.current_total() == before
+
+    @pytest.mark.parametrize("mode", ["train_amortized", "train_full"])
+    def test_measured_split_adds_up(self, mode):
+        rep = measured_train_peak(DESK, mode, seed=0)
+        assert rep.grads_bytes > 0
+        assert (rep.params_bytes + rep.optimizer_bytes + rep.activations_bytes
+                + rep.grads_bytes == rep.peak_total)
+
+    def test_measured_inference_split_adds_up(self):
+        rep = measured_inference_peak(DESK, seed=0)
+        assert rep.grads_bytes == 0
+        assert rep.params_bytes + rep.activations_bytes == rep.peak_total

@@ -1,6 +1,8 @@
 """Tensor core: primitives against oracles, gradients against finite
 differences, tape semantics, Adam."""
 
+import gc
+import sys
 import tracemalloc
 import zlib
 
@@ -622,3 +624,55 @@ class TestFiniteDifferencePrimitives:
             return float(T.tsum(T.square(out)).data)
         num = finite_difference(f, w)
         assert rel_err(ana, num) < 1e-4
+
+
+class TestLiveSet:
+    def _counts(self):
+        gc.collect()
+        return T.METER.act_bytes, T.METER.grad_bytes
+
+    def test_split_at_peak(self):
+        s = T.LiveSet(static_bytes=100)
+        assert (s.peak_total, s.peak_act_bytes, s.peak_grad_bytes) == (100, 0, 0)
+        assert s.add(50) == 50
+        assert s.add(grad=30) == 30                     # 180: the peak
+        s.add(-50)
+        s.add(grad=40)                                  # 170: below the peak
+        assert (s.peak_total, s.peak_act_bytes, s.peak_grad_bytes) == (180, 50, 30)
+        assert (s.act_bytes, s.grad_bytes, s.current_total()) == (0, 70, 170)
+        s.add(grad=20)                                  # 190: a new peak
+        assert (s.peak_total, s.peak_act_bytes, s.peak_grad_bytes) == (190, 0, 90)
+        s.add(grad=-90)
+        s.reset_peak()
+        assert (s.peak_total, s.peak_act_bytes, s.peak_grad_bytes) == (100, 0, 0)
+
+    def test_tensor_releases_payload_and_grad(self):
+        before = self._counts()
+        x = Tensor(np.ones(8, np.float32), requires_grad=True)
+        T.backward(T.tsum(T.mul(x, 2.0)))
+        assert self._counts() == (before[0] + 32, before[1] + 32)
+        x.zero_grad()
+        assert self._counts() == (before[0] + 32, before[1])
+        del x
+        assert self._counts() == before
+
+    def test_directly_assigned_grad_is_not_released(self):
+        before = self._counts()
+        store = ParamStore()
+        p = store.register("net/w", Tensor(np.zeros(4)))
+        p.grad = np.ones(4)
+        adam_step(store, lr=0.1)
+        q = Tensor(np.zeros(4))
+        q.grad = np.ones(4)
+        q.zero_grad()
+        del store, p, q
+        assert self._counts() == before
+
+    def test_failed_constructor_counts_nothing(self, monkeypatch):
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        before = self._counts()
+        with pytest.raises(TypeError):
+            Tensor(Tensor(1.0))
+        assert self._counts() == before
+        assert unraisable == []
