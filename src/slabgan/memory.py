@@ -19,8 +19,9 @@ reads the global ``tensor.METER``, which every Tensor feeds, during an
 actual step. Both count tensor payload bytes only (no allocator slack, no
 numpy temporaries inside ops), so trends rather than absolute megabytes
 are the meaningful output. The uncounted op workspace is about
-payload-sized: conv3d builds its im2col matrix in chunks of at most
-``tensor.CONV_WORKSPACE_BYTES``, so it no longer grows with the volume.
+payload-sized: conv3d unfolds its input in chunks of at most
+``tensor.CONV_WORKSPACE_BYTES`` (the depth and width taps, with the row
+taps read as offset views), so it does not grow with the volume.
 """
 
 from __future__ import annotations

@@ -21,11 +21,12 @@ own, so measured and analytic reports mean the same thing. ``METER``
 does not tell a parameter from an activation, and it does not count Adam
 moments; memory reports take both as static bytes from the ParamStore.
 Raw numpy temporaries inside ops (op workspace) are intentionally not
-counted. Most are payload-sized (a padded copy, an output gradient);
-conv3d's im2col matrix, which used to be 27x its input, is built in
-chunks of at most ``CONV_WORKSPACE_BYTES``, and resampling runs through
-its axis passes one chunk of channels (``INTERP_CHUNK_BYTES`` of output)
-at a time.
+counted. Most are payload-sized (a padded copy, an output gradient).
+conv3d unfolds its input a chunk of output slices or rows at a time into
+one reused buffer of at most ``CONV_WORKSPACE_BYTES``; the buffer holds
+the depth and width taps only, and the row taps are offset views of it.
+Resampling runs through its axis passes one chunk of channels
+(``INTERP_CHUNK_BYTES`` of output) at a time.
 """
 
 from __future__ import annotations
@@ -589,66 +590,116 @@ def _triple(v):
     return t
 
 
-# Upper bound, in bytes, on the im2col matrix conv3d materializes at once.
+# Upper bound, in bytes, on the unfolded input conv3d materializes at once.
 # Only speed depends on it. A chunk that stays in cache matters most for the
 # memory-bound C_out=1 products: on a 2-core box with 2 MB of L2 per core,
 # 0.5-1 MB ran a 128^3 training step about 20% faster than 2-8 MB.
 CONV_WORKSPACE_BYTES = 1 << 20
 
 
-def _conv_chunks(k: int, out_shape, itemsize: int):
-    """Split a conv output ``(od, oh, ow)`` into chunks whose im2col matrix
-    (``k`` rows, one column per output voxel) fits the workspace.
+def _conv_chunks(k: int, out_shape, itemsize: int, halo: int = 0):
+    """Split a conv output ``(od, oh, ow)`` into chunks whose unfolded input
+    fits the workspace: ``k`` matrix rows per output row, each ``ow``
+    columns wide, over a chunk's output rows plus ``halo`` more rows.
 
     Yields ``(zs, ys)`` slices of output depth and rows. A chunk holds whole
     depth slices when one slice fits, otherwise rows of a single slice; a
-    single output row is the smallest chunk. The count of slices (or rows)
-    per chunk is a power of two, so a power-of-two volume splits into equal
-    chunks, and no GEMM is narrower than the rest: BLAS kernels may round
-    narrow products, or the columns past the last full register panel,
-    differently from the wide ones.
+    single output row (with its halo) is the smallest chunk. The count of
+    slices (or rows) per chunk is a power of two, so a power-of-two volume
+    splits into equal chunks, and no GEMM is narrower than the rest: BLAS
+    kernels may round narrow products, or the columns past the last full
+    register panel, differently from the wide ones.
     """
     od, oh, ow = out_shape
     rows = max(1, CONV_WORKSPACE_BYTES // (k * ow * itemsize))
-    if rows >= oh:
-        nz, ny = 1 << ((rows // oh).bit_length() - 1), oh
+    if rows >= oh + halo:
+        nz, ny = 1 << ((rows // (oh + halo)).bit_length() - 1), oh
     else:
-        nz, ny = 1, 1 << (rows.bit_length() - 1)
+        nz, ny = 1, 1 << (max(1, rows - halo).bit_length() - 1)
     for z0 in range(0, od, nz):
         for y0 in range(0, oh, ny):
             yield slice(z0, min(z0 + nz, od)), slice(y0, min(y0 + ny, oh))
 
 
-def _unfold_chunks(xp: np.ndarray, ksize, stride, out_shape):
-    """Im2col of a padded ``(C, D, H, W)`` array, one chunk at a time.
+def _row_groups(kh: int, sh: int) -> list[int]:
+    """Row residues per row-shift group: row tap ``j = sh*q + r`` is residue
+    ``r < min(sh, kh)`` shifted by ``q`` output rows, so group ``q`` holds
+    residues ``0 .. n_q - 1``."""
+    return [min(sh, kh - sh * q) for q in range(-(-kh // sh))]
 
-    Yields ``(zs, ys, cols)`` where ``cols`` is the contiguous
-    ``(C*kd*kh*kw, voxels)`` matrix of the output voxels in ``[:, zs, ys]``,
-    rows in weight order and columns in output raster order. ``cols`` lives
-    in one reused buffer: it is valid only until the next chunk.
+
+def _unfold_rows(cin: int, ksize, stride) -> tuple[int, int]:
+    """Rows per output row of ``_unfold_chunks``' matrix, and its halo
+    (extra input rows per chunk): what ``_conv_chunks`` sizes chunks by."""
+    kd, kh, kw = ksize
+    groups = _row_groups(kh, stride[1])
+    return groups[0] * cin * kd * kw, len(groups) - 1
+
+
+def _unfold_chunks(xp: np.ndarray, ksize, stride, out_shape):
+    """Row-shifted im2col of a padded ``(C, D, H, W)`` array, a chunk at a time.
+
+    A chunk of ``nz`` output slices and ``ny`` output rows is copied once,
+    into a ``(nz, nr*C*kd*kw, (ny + nq - 1) * ow)`` buffer: per output slice,
+    rows ordered (row residue r, C, kd, kw) and columns (row, x) over the
+    chunk's rows and ``nq - 1`` halo rows, where ``nr = min(sh, kh)`` and
+    ``nq = ceil(kh / sh)``. Row tap ``sh*q + r`` of output row ``y`` is then
+    residue ``r`` at buffer row ``y + q``, so group ``q`` is an offset view.
+
+    Yields ``(zs, ys, views)`` with one ``(nz, C*kd*kw*n_q, ny*ow)`` view per
+    group ``q`` (its residues ``r < n_q``, see ``_row_groups``), columns in
+    output raster order. The views share one reused buffer of at most
+    ``CONV_WORKSPACE_BYTES`` (or one output row and its halo, if larger):
+    they are valid only until the next chunk. Buffer rows that no group
+    reads (past the input's last row) are left unset.
     """
     od, oh, ow = out_shape
-    win = sliding_window_view(xp, ksize, axis=(1, 2, 3))
-    win = win[:, ::stride[0], ::stride[1], ::stride[2]][:, :od, :oh, :ow]
-    win = win.transpose(0, 4, 5, 6, 1, 2, 3)        # (C, kd, kh, kw, od, oh, ow)
-    k = int(np.prod(win.shape[:4]))
+    cin = xp.shape[0]
+    kd, kh, kw = ksize
+    sd, sh, sw = stride
+    groups = _row_groups(kh, sh)
+    k, halo = _unfold_rows(cin, ksize, stride)
+    ck = cin * kd * kw
+    win = sliding_window_view(xp, (kd, kw), axis=(1, 3))[:, ::sd, :, ::sw][:, :od, :, :ow]
+    win = win.transpose(1, 0, 4, 5, 2, 3)            # (od, C, kd, kw, Hp, ow)
     buf = None
-    for zs, ys in _conv_chunks(k, out_shape, xp.itemsize):
-        src = win[..., zs, ys, :]
+    for zs, ys in _conv_chunks(k, out_shape, xp.itemsize, halo):
+        nz, ny = zs.stop - zs.start, ys.stop - ys.start
+        t = ny + halo
         if buf is None:
-            buf = np.empty(src.size, xp.dtype)
-        cols = buf[:src.size].reshape(src.shape)
-        np.copyto(cols, src)
-        yield zs, ys, cols.reshape(k, -1)
+            buf = np.empty(nz * k * t * ow, xp.dtype)
+        cols = buf[:nz * k * t * ow].reshape(nz, groups[0], cin, kd, kw, t, ow)
+        for r in range(groups[0]):
+            src = win[zs, ..., ys.start * sh + r::sh, :][..., :t, :]
+            np.copyto(cols[:, r, ..., :src.shape[-2], :], src)
+        flat = cols.reshape(nz, k, t * ow)
+        yield zs, ys, [flat[:, :n * ck, q * ow:(q + ny) * ow] for q, n in enumerate(groups)]
+
+
+def _group_weights(w: np.ndarray, sh: int) -> list[np.ndarray]:
+    """The ``(C_out, C_in*kd*kw*n_q)`` weight matrix of each row-shift group,
+    columns in ``_unfold_chunks``' row order (r, C_in, kd, kw)."""
+    return [np.ascontiguousarray(w[:, :, :, sh * q:sh * q + n].transpose(0, 3, 1, 2, 4))
+            .reshape(w.shape[0], -1) for q, n in enumerate(_row_groups(w.shape[3], sh))]
+
+
+def _chunk_view(a: np.ndarray, zs: slice, ys: slice) -> np.ndarray:
+    """``a[:, zs, ys]`` of a C-contiguous ``(C, od, oh, ow)`` array as an
+    ``(nz, C, ny*ow)`` view, the layout of a batch of per-slice GEMMs."""
+    c, od, oh, ow = a.shape
+    return a.reshape(c, od, oh * ow)[:, zs, ys.start * ow:ys.stop * ow].transpose(1, 0, 2)
 
 
 def _correlate(xp: np.ndarray, w: np.ndarray, stride, out_shape) -> np.ndarray:
-    """Unbiased cross-correlation of a padded input: ``W2 @ cols`` per chunk."""
-    w2 = w.reshape(w.shape[0], -1)
+    """Unbiased cross-correlation of a padded input: per chunk, the sum over
+    row-shift groups of ``W_q @ view_q``, in group order."""
+    wq = _group_weights(w, stride[1])
     out = np.empty((w.shape[0],) + tuple(out_shape), np.result_type(w, xp))
-    for zs, ys, cols in _unfold_chunks(xp, w.shape[2:], stride, out_shape):
-        dst = out[:, zs, ys]
-        dst[...] = np.dot(w2, cols).reshape(dst.shape)
+    for zs, ys, views in _unfold_chunks(xp, w.shape[2:], stride, out_shape):
+        dst = _chunk_view(out, zs, ys)
+        np.matmul(wq[0], views[0], out=dst)
+        for wm, v in zip(wq[1:], views[1:]):
+            dst += wm @ v
     return out
 
 
@@ -658,13 +709,17 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor, stride=1, pad=0) -> Tensor:
     x: (C_in, D, H, W), w: (C_out, C_in, kd, kh, kw), b: (C_out,).
     Output extent per axis: floor((n + 2*pad - k) / stride) + 1.
 
-    Every product is one deep GEMM (inner dimension C_in*kd*kh*kw) against
-    an im2col matrix that is built a chunk of output slices or rows at a
-    time, so the workspace stays within ``CONV_WORKSPACE_BYTES`` (or one
-    output row, if that is larger) whatever the volume's extent:
+    The input is unfolded a chunk of output slices or rows at a time by
+    ``_unfold_chunks``: one copy of the depth and width taps over the
+    chunk's rows plus a halo, in a buffer of at most
+    ``CONV_WORKSPACE_BYTES`` (or one output row and its halo, if that is
+    larger) whatever the volume's extent. Row tap ``j = sh*q + r`` is
+    residue ``r`` shifted by ``q`` rows, so each row-shift group ``q`` is
+    one GEMM per output slice on an offset view of that buffer, with inner
+    dimension C_in*kd*kw times the group's residues:
 
-    * forward: ``out[:, chunk] = W2 @ cols``;
-    * weight gradient: ``gW += g[:, chunk] @ cols.T``;
+    * forward: ``out[:, chunk] = sum_q W_q @ view_q``, in group order;
+    * weight gradient: ``gW_q += g[:, chunk] @ view_q.T``;
     * input gradient at stride 1: the forward correlation of the padded
       output gradient with the flipped, channel-swapped kernel;
     * input gradient otherwise: ``W2.T @ g[:, chunk]`` scattered back tap
@@ -673,11 +728,14 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor, stride=1, pad=0) -> Tensor:
     The arithmetic of an output voxel must not depend on the volume's
     extent or on where the chunks fall: a decoder run on a depth window
     reproduces the full volume's interior bit for bit, and the tests
-    check that with ``np.array_equal``. This rests on the BLAS rounding a
-    column of a GEMM the same way whatever the GEMM's width. OpenBLAS does
-    so for widths that are multiples of 16 columns and not tiny, which the
-    power-of-two volumes and chunk sizes used here provide; at odd extents
-    the last bit can differ.
+    check that with ``np.array_equal``. The tap groups and their order are
+    the same for every chunk, and each output slice is its own GEMM, so a
+    slice's product does not depend on the volume's depth: depth windows
+    agree at any extent. Row chunks of one slice rest on the BLAS rounding
+    a column of a GEMM the same way whatever the GEMM's width. OpenBLAS
+    does so for widths that are multiples of 16 columns and not tiny,
+    which power-of-two extents and chunk sizes provide; row-chunked at odd
+    widths, the last bit can differ.
     """
     stride = _triple(stride)
     pad = _triple(pad)
@@ -710,10 +768,16 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor, stride=1, pad=0) -> Tensor:
         if b.requires_grad:
             b.accumulate_grad(g.sum(axis=(1, 2, 3)))
         if w.requires_grad:
-            gw = np.zeros(wd.shape, np.result_type(g, xd))
-            gw2 = gw.reshape(cout, -1)
-            for zs, ys, cols in _unfold_chunks(_pad(xd), (kd, kh, kw), stride, outs):
-                gw2 += g[:, zs, ys].reshape(cout, -1) @ cols.T
+            groups = _row_groups(kh, stride[1])
+            gq = [np.zeros((cout, n * cin * kd * kw), np.result_type(g, xd)) for n in groups]
+            gcont = np.ascontiguousarray(g)
+            for zs, ys, views in _unfold_chunks(_pad(xd), (kd, kh, kw), stride, outs):
+                gc = _chunk_view(gcont, zs, ys)
+                for acc, v in zip(gq, views):
+                    acc += (gc @ v.transpose(0, 2, 1)).sum(axis=0)
+            # the groups hold row taps 0..kh-1 in order
+            gw = np.concatenate([acc.reshape(cout, n, cin, kd, kw).transpose(0, 2, 3, 1, 4)
+                                 for n, acc in zip(groups, gq)], axis=3)
             w.accumulate_grad(gw.astype(wd.dtype, copy=False))
         if x.requires_grad:
             if stride == (1, 1, 1) and min(kd - 1 - pad[0], kh - 1 - pad[1],

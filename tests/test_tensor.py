@@ -8,6 +8,7 @@ import zlib
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import (conv3d_direct, finite_difference, gradcheck, interp_matrix, rel_err,
                       resample_dense)
@@ -77,23 +78,34 @@ class TestConv3d:
 
 # (kernel, stride, pad): the oracle set above, then the shapes the networks
 # use besides 3/1/1: d_h and the SR encoder, the SR bottleneck and decoder,
-# and the projection heads
+# and the projection heads; last a kernel that is not a multiple of its
+# stride, whose last row window is short at an odd padded height
 CONV_CASES = [(3, 1, 1), (4, 2, 1), (3, 1, 0), (2, 2, 0),
               ((1, 4, 4), (1, 2, 2), (0, 1, 1)),
               ((1, 3, 3), 1, (0, 1, 1)),
-              (4, 1, 0)]
+              (4, 1, 0),
+              (3, 2, 1)]
+
+
+def _out_shape(x_shape, w_shape, stride, pad):
+    return tuple(int((n + 2 * p - kk) // s + 1) for n, kk, s, p in zip(
+        x_shape[1:], w_shape[2:], np.broadcast_to(stride, 3), np.broadcast_to(pad, 3)))
 
 
 def _shrink_workspace(monkeypatch, x_shape, w_shape, stride, pad, itemsize, rows):
     """Set the conv workspace so the forward pass spans at least three depth
-    chunks: whole slices per chunk, or with ``rows`` one output row each."""
-    k = int(np.prod(w_shape[1:]))
-    out = tuple(int((n + 2 * p - kk) // s + 1) for n, kk, s, p in zip(
-        x_shape[1:], w_shape[2:], np.broadcast_to(stride, 3), np.broadcast_to(pad, 3)))
+    chunks: whole slices per chunk, or with ``rows`` one output row each.
+    The budget is sized from the rows the forward pass really unfolds."""
+    stride3 = tuple(int(s) for s in np.broadcast_to(stride, 3))
+    k, halo = T._unfold_rows(w_shape[1], w_shape[2:], stride3)
+    out = _out_shape(x_shape, w_shape, stride, pad)
     od, oh, ow = out
-    budget = 1 if rows else max(1, od // 3) * oh * ow * k * itemsize
+    budget = 1 if rows else max(1, od // 3) * (oh + halo) * ow * k * itemsize
     monkeypatch.setattr(T, "CONV_WORKSPACE_BYTES", budget)
-    assert len({zs.start for zs, _ in T._conv_chunks(k, out, itemsize)}) >= 3
+    chunks = list(T._conv_chunks(k, out, itemsize, halo))
+    assert len({zs.start for zs, _ in chunks}) >= 3
+    if rows:
+        assert all(ys.stop - ys.start == 1 for _, ys in chunks)
 
 
 class TestConv3dChunked:
@@ -140,6 +152,67 @@ class TestConv3dChunked:
                   rng.standard_normal(3) * 0.1]
         _shrink_workspace(monkeypatch, arrays[0].shape, arrays[1].shape, stride, pad, 8, rows)
         gradcheck(lambda x, w, b: T.tsum(T.square(T.conv3d(x, w, b, stride, pad))), arrays)
+
+    @pytest.mark.parametrize("rows", [False, True])
+    @pytest.mark.parametrize("k,stride,pad", CONV_CASES)
+    def test_unfold_views_match_im2col(self, monkeypatch, k, stride, pad, rows):
+        """Every view ``_unfold_chunks`` yields is the im2col of its chunk with
+        rows in (residue, C, kd, kw) order, and the buffer behind the views
+        stays within the workspace (or one output row and its halo)."""
+        rng = np.random.default_rng(10)
+        kt = tuple(int(v) for v in np.broadcast_to(k, 3))
+        st = tuple(int(v) for v in np.broadcast_to(stride, 3))
+        pd = tuple(int(v) for v in np.broadcast_to(pad, 3))
+        x = rng.standard_normal((3, 10, 9, 8)).astype(np.float32)
+        _shrink_workspace(monkeypatch, x.shape, (4, 3) + kt, st, pd, x.itemsize, rows)
+        xp = np.pad(x, ((0, 0),) + tuple((p, p) for p in pd))
+        od, oh, ow = out = _out_shape(x.shape, (4, 3) + kt, st, pd)
+        kd, kh, kw = kt
+        # (C, od, oh, ow, kd, kh, kw)
+        ref = sliding_window_view(xp, kt, axis=(1, 2, 3))[
+            :, ::st[0], ::st[1], ::st[2]][:, :od, :oh, :ow]
+        k_rows, halo = T._unfold_rows(3, kt, st)
+        bound = max(T.CONV_WORKSPACE_BYTES, k_rows * (1 + halo) * ow * x.itemsize)
+        seen = np.zeros(out, int)
+        for zs, ys, views in T._unfold_chunks(xp, kt, st, out):
+            seen[zs, ys] += 1
+            assert len(views) == -(-kh // st[1])
+            for q, v in enumerate(views):
+                taps = range(st[1] * q, min(st[1] * (q + 1), kh))
+                want = np.stack([ref[:, zs, ys, :, :, j, :] for j in taps])
+                # (r, C, nz, ny, ow, kd, kw) -> (nz, r, C, kd, kw, ny, ow)
+                want = want.transpose(2, 0, 1, 5, 6, 3, 4)
+                assert np.array_equal(v, want.reshape(v.shape))
+                root = v
+                while root.base is not None:
+                    root = root.base
+                assert root.nbytes <= bound
+        assert np.all(seen == 1)
+
+    def test_depth_window_interior_bitwise_at_any_extent(self):
+        """A 3/1/1 conv on a depth window reproduces the full volume's
+        output bit for bit away from the window's two edge slices, also at
+        extents and window lengths that are not powers of two: each output
+        slice is its own GEMM, so its product does not depend on the depth
+        of the volume."""
+        rng = np.random.default_rng(2008)
+        for _ in range(300):
+            cin, cout = rng.integers(1, 9, size=2)
+            h, wd = rng.integers(5, 40, size=2)
+            d = int(rng.integers(6, 40))
+            length = int(rng.integers(3, d))
+            if d & (d - 1) == 0:
+                d += 1
+            if length & (length - 1) == 0:
+                length -= 1
+            z0 = int(rng.integers(0, d - length + 1))
+            x = rng.standard_normal((cin, d, h, wd)).astype(np.float32)
+            w = Tensor(rng.standard_normal((cout, cin, 3, 3, 3)).astype(np.float32))
+            b = Tensor(rng.standard_normal(cout).astype(np.float32))
+            full = T.conv3d(Tensor(x), w, b, 1, 1).data
+            sub = T.conv3d(Tensor(x[:, z0:z0 + length]), w, b, 1, 1).data
+            assert np.array_equal(sub[:, 1:-1], full[:, z0 + 1:z0 + length - 1]), \
+                (cin, cout, d, h, wd, z0, length)
 
     def test_fwd_bwd_workspace_at_128(self):
         """A 4->1 conv at 128^3 (the last g_h conv) stays far below its
