@@ -5,6 +5,9 @@ encoder, global encoder. One depth-window draw per batch feeds both the
 generator-side selector and the real-data selector. Runs ~1 minute.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from slabgan.networks import desk_config
@@ -23,13 +26,15 @@ for step in range(60):
     if step % 10 == 0:
         print(format_report(rep))
 
-save_checkpoint(state, "/tmp/slabgan_demo.ckpt")
-print("saved checkpoint")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "slabgan_demo.ckpt")
+    save_checkpoint(state, path)
+    print("saved checkpoint")
 
-# bit-exact resume: one more step now equals one more step after reload
-direct = format_report(train_step(state, [vols[0], vols[1]]))
-restored = load_checkpoint("/tmp/slabgan_demo.ckpt")
-resumed = format_report(train_step(restored, [vols[0], vols[1]]))
+    # bit-exact resume: one more step now equals one more step after reload
+    direct = format_report(train_step(state, [vols[0], vols[1]]))
+    restored = load_checkpoint(path)
+    resumed = format_report(train_step(restored, [vols[0], vols[1]]))
 print(f"resume reproduces the next step bitwise: {direct == resumed}")
 
 # update isolation: the slab-encoder phase touches only e_h parameters

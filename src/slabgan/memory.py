@@ -18,10 +18,11 @@ parameter gradients live until the optimizer step. The measured model
 reads the global ``tensor.METER``, which every Tensor feeds, during an
 actual step. Both count tensor payload bytes only (no allocator slack, no
 numpy temporaries inside ops), so trends rather than absolute megabytes
-are the meaningful output. The uncounted op workspace is about
-payload-sized: conv3d unfolds its input in chunks of at most
-``tensor.CONV_WORKSPACE_BYTES`` (the depth and width taps, with the row
-taps read as offset views), so it does not grow with the volume.
+are the meaningful output. conv3d's uncounted op workspace is one slab
+of the padded input planes of a run of output slices (a few planes of
+the input, never the whole padded volume) plus an unfold buffer of at
+most ``tensor.CONV_WORKSPACE_BYTES`` (the depth and width taps, with the
+row taps read as offset views); neither grows with the volume's depth.
 """
 
 from __future__ import annotations

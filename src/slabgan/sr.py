@@ -256,13 +256,15 @@ def format_sr_report(report: dict) -> str:
 
 
 def sr_infer(state: SRState, lr_full: np.ndarray) -> np.ndarray:
-    """Whole-volume pass: no windowing, no gradients, one forward call."""
-    arr = np.asarray(lr_full, dtype=np.float32)
-    if arr.ndim == 3:
-        arr = arr[None]
+    """Whole-volume pass: no windowing, no gradients, one forward call.
+
+    ``lr_full`` is checked before any work: a shape other than
+    ``(lr_resolution,) * 3`` (a leading unit channel axis allowed) raises
+    ShapeError, a non-finite value or one outside [-1, 1] ValueError.
+    """
+    arr = check_volume(lr_full, (state.cfg.lr_resolution,) * 3).astype(np.float32, copy=False)
     with no_grad():
-        out = state.gen(Tensor(arr), training=False).data
-    return out
+        return state.gen(Tensor(arr[None]), training=False).data
 
 
 def sr_save(state: SRState, path) -> None:

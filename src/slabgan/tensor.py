@@ -21,8 +21,10 @@ own, so measured and analytic reports mean the same thing. ``METER``
 does not tell a parameter from an activation, and it does not count Adam
 moments; memory reports take both as static bytes from the ParamStore.
 Raw numpy temporaries inside ops (op workspace) are intentionally not
-counted. Most are payload-sized (a padded copy, an output gradient).
-conv3d unfolds its input a chunk of output slices or rows at a time into
+counted. Some are payload-sized (an output gradient, the strided conv's
+padded input gradient). conv3d never pads its input whole: it copies the
+padded input planes of a run of output slices into one reused slab, and
+unfolds a chunk of output slices or rows at a time from that slab into
 one reused buffer of at most ``CONV_WORKSPACE_BYTES``; the buffer holds
 the depth and width taps only, and the row taps are offset views of it.
 Resampling runs through its axis passes one chunk of channels
@@ -636,15 +638,32 @@ def _unfold_rows(cin: int, ksize, stride) -> tuple[int, int]:
     return groups[0] * cin * kd * kw, len(groups) - 1
 
 
-def _unfold_chunks(xp: np.ndarray, ksize, stride, out_shape):
-    """Row-shifted im2col of a padded ``(C, D, H, W)`` array, a chunk at a time.
+def _slab_slices(nz: int, kd: int, sd: int) -> int:
+    """Output slices per slab of ``_unfold_chunks``: a whole number of
+    ``nz``-slice chunks, enough that the ``kd - sd`` planes consecutive
+    slabs share add at most a quarter to the ``ns*sd`` planes a slab
+    advances by, so each input plane is copied at most 1.25 times."""
+    return nz * max(1, -(-4 * (kd - sd) // (sd * nz)))
 
-    A chunk of ``nz`` output slices and ``ny`` output rows is copied once,
-    into a ``(nz, nr*C*kd*kw, (ny + nq - 1) * ow)`` buffer: per output slice,
-    rows ordered (row residue r, C, kd, kw) and columns (row, x) over the
-    chunk's rows and ``nq - 1`` halo rows, where ``nr = min(sh, kh)`` and
-    ``nq = ceil(kh / sh)``. Row tap ``sh*q + r`` of output row ``y`` is then
-    residue ``r`` at buffer row ``y + q``, so group ``q`` is an offset view.
+
+def _unfold_chunks(x: np.ndarray, pad, ksize, stride, out_shape):
+    """Row-shifted im2col of a ``(C, D, H, W)`` array zero-padded by ``pad``,
+    a chunk at a time.
+
+    The padded input is never built whole. The input planes of a run of
+    output slices (``_slab_slices`` of them) are copied into one reused
+    slab of ``(C, planes, H + 2*ph, W + 2*pw)`` whose border is zero; planes
+    outside ``[0, D)`` are zeroed. The chunks' sliding windows are views of
+    that slab, so a plane is copied about once, plus the ``kd - sd``
+    planes that consecutive slabs share.
+
+    A chunk of ``nz`` output slices and ``ny`` output rows is then copied
+    once into a ``(nz, nr*C*kd*kw, (ny + nq - 1) * ow)`` buffer: per output
+    slice, rows ordered (row residue r, C, kd, kw) and columns (row, x) over
+    the chunk's rows and ``nq - 1`` halo rows, where ``nr = min(sh, kh)``
+    and ``nq = ceil(kh / sh)``. Row tap ``sh*q + r`` of output row ``y`` is
+    then residue ``r`` at buffer row ``y + q``, so group ``q`` is an offset
+    view.
 
     Yields ``(zs, ys, views)`` with one ``(nz, C*kd*kw*n_q, ny*ow)`` view per
     group ``q`` (its residues ``r < n_q``, see ``_row_groups``), columns in
@@ -654,23 +673,37 @@ def _unfold_chunks(xp: np.ndarray, ksize, stride, out_shape):
     reads (past the input's last row) are left unset.
     """
     od, oh, ow = out_shape
-    cin = xp.shape[0]
+    cin, d, h, wdt = x.shape
+    pd, ph, pw = pad
     kd, kh, kw = ksize
     sd, sh, sw = stride
     groups = _row_groups(kh, sh)
     k, halo = _unfold_rows(cin, ksize, stride)
     ck = cin * kd * kw
-    win = sliding_window_view(xp, (kd, kw), axis=(1, 3))[:, ::sd, :, ::sw][:, :od, :, :ow]
-    win = win.transpose(1, 0, 4, 5, 2, 3)            # (od, C, kd, kw, Hp, ow)
     buf = None
-    for zs, ys in _conv_chunks(k, out_shape, xp.itemsize, halo):
+    s_end = 0
+    for zs, ys in _conv_chunks(k, out_shape, x.itemsize, halo):
         nz, ny = zs.stop - zs.start, ys.stop - ys.start
         t = ny + halo
         if buf is None:
-            buf = np.empty(nz * k * t * ow, xp.dtype)
+            buf = np.empty(nz * k * t * ow, x.dtype)
+            ns = min(od, _slab_slices(nz, kd, sd))
+            slab = np.zeros((cin, (ns - 1) * sd + kd, h + 2 * ph, wdt + 2 * pw), x.dtype)
+            inner = slab[:, :, ph:ph + h, pw:pw + wdt]
+            win = sliding_window_view(slab, (kd, kw), axis=(1, 3))[:, ::sd, :, ::sw][:, :, :, :ow]
+            win = win.transpose(1, 0, 4, 5, 2, 3)    # (ns, C, kd, kw, Hp, ow)
+        if zs.start >= s_end:
+            # planes z0 .. z0 + planes - 1 of x feed output slices s0 .. s_end - 1
+            s0, s_end = zs.start, min(zs.start + ns, od)
+            z0, planes = s0 * sd - pd, (s_end - 1 - s0) * sd + kd
+            lo = min(planes, max(0, -z0))
+            hi = max(lo, min(planes, d - z0))
+            inner[:, :lo] = 0
+            np.copyto(inner[:, lo:hi], x[:, z0 + lo:z0 + hi])
+            inner[:, hi:planes] = 0
         cols = buf[:nz * k * t * ow].reshape(nz, groups[0], cin, kd, kw, t, ow)
         for r in range(groups[0]):
-            src = win[zs, ..., ys.start * sh + r::sh, :][..., :t, :]
+            src = win[zs.start - s0:zs.stop - s0, ..., ys.start * sh + r::sh, :][..., :t, :]
             np.copyto(cols[:, r, ..., :src.shape[-2], :], src)
         flat = cols.reshape(nz, k, t * ow)
         yield zs, ys, [flat[:, :n * ck, q * ow:(q + ny) * ow] for q, n in enumerate(groups)]
@@ -690,12 +723,13 @@ def _chunk_view(a: np.ndarray, zs: slice, ys: slice) -> np.ndarray:
     return a.reshape(c, od, oh * ow)[:, zs, ys.start * ow:ys.stop * ow].transpose(1, 0, 2)
 
 
-def _correlate(xp: np.ndarray, w: np.ndarray, stride, out_shape) -> np.ndarray:
-    """Unbiased cross-correlation of a padded input: per chunk, the sum over
-    row-shift groups of ``W_q @ view_q``, in group order."""
+def _correlate(x: np.ndarray, pad, w: np.ndarray, stride, out_shape) -> np.ndarray:
+    """Unbiased cross-correlation of an input zero-padded by ``pad``: per
+    chunk, the sum over row-shift groups of ``W_q @ view_q``, in group
+    order."""
     wq = _group_weights(w, stride[1])
-    out = np.empty((w.shape[0],) + tuple(out_shape), np.result_type(w, xp))
-    for zs, ys, views in _unfold_chunks(xp, w.shape[2:], stride, out_shape):
+    out = np.empty((w.shape[0],) + tuple(out_shape), np.result_type(w, x))
+    for zs, ys, views in _unfold_chunks(x, pad, w.shape[2:], stride, out_shape):
         dst = _chunk_view(out, zs, ys)
         np.matmul(wq[0], views[0], out=dst)
         for wm, v in zip(wq[1:], views[1:]):
@@ -709,9 +743,11 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor, stride=1, pad=0) -> Tensor:
     x: (C_in, D, H, W), w: (C_out, C_in, kd, kh, kw), b: (C_out,).
     Output extent per axis: floor((n + 2*pad - k) / stride) + 1.
 
-    The input is unfolded a chunk of output slices or rows at a time by
-    ``_unfold_chunks``: one copy of the depth and width taps over the
-    chunk's rows plus a halo, in a buffer of at most
+    The padded input is never built. ``_unfold_chunks`` copies the input
+    planes of a run of output slices into one reused zero-bordered slab
+    (zero planes stand for the depth padding), and unfolds the slab a chunk
+    of output slices or rows at a time: one copy of the depth and width
+    taps over the chunk's rows plus a halo, in a buffer of at most
     ``CONV_WORKSPACE_BYTES`` (or one output row and its halo, if that is
     larger) whatever the volume's extent. Row tap ``j = sh*q + r`` is
     residue ``r`` shifted by ``q`` rows, so each row-shift group ``q`` is
@@ -720,8 +756,9 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor, stride=1, pad=0) -> Tensor:
 
     * forward: ``out[:, chunk] = sum_q W_q @ view_q``, in group order;
     * weight gradient: ``gW_q += g[:, chunk] @ view_q.T``;
-    * input gradient at stride 1: the forward correlation of the padded
-      output gradient with the flipped, channel-swapped kernel;
+    * input gradient at stride 1: the forward correlation of the output
+      gradient, padded by ``k - 1 - pad``, with the flipped,
+      channel-swapped kernel;
     * input gradient otherwise: ``W2.T @ g[:, chunk]`` scattered back tap
       by tap (col2im).
 
@@ -755,12 +792,7 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor, stride=1, pad=0) -> Tensor:
             raise ShapeError(f"conv3d non-positive output extent: n={n} k={k} s={s} p={p}")
         outs.append(o)
 
-    def _pad(arr):
-        if pad == (0, 0, 0):
-            return arr
-        return np.pad(arr, ((0, 0), (pad[0], pad[0]), (pad[1], pad[1]), (pad[2], pad[2])))
-
-    out = _correlate(_pad(xd), wd, stride, outs)
+    out = _correlate(xd, pad, wd, stride, outs)
     out += b.data[:, None, None, None]
     out = np.ascontiguousarray(out, dtype=xd.dtype)
 
@@ -771,7 +803,7 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor, stride=1, pad=0) -> Tensor:
             groups = _row_groups(kh, stride[1])
             gq = [np.zeros((cout, n * cin * kd * kw), np.result_type(g, xd)) for n in groups]
             gcont = np.ascontiguousarray(g)
-            for zs, ys, views in _unfold_chunks(_pad(xd), (kd, kh, kw), stride, outs):
+            for zs, ys, views in _unfold_chunks(xd, pad, (kd, kh, kw), stride, outs):
                 gc = _chunk_view(gcont, zs, ys)
                 for acc, v in zip(gq, views):
                     acc += (gc @ v.transpose(0, 2, 1)).sum(axis=0)
@@ -780,15 +812,11 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor, stride=1, pad=0) -> Tensor:
                                  for n, acc in zip(groups, gq)], axis=3)
             w.accumulate_grad(gw.astype(wd.dtype, copy=False))
         if x.requires_grad:
-            if stride == (1, 1, 1) and min(kd - 1 - pad[0], kh - 1 - pad[1],
-                                           kw - 1 - pad[2]) >= 0:
+            gpad = (kd - 1 - pad[0], kh - 1 - pad[1], kw - 1 - pad[2])
+            if stride == (1, 1, 1) and min(gpad) >= 0:
                 # full correlation of g with the flipped kernel
                 wf = wd[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
-                gp = np.pad(g, ((0, 0),
-                                (kd - 1 - pad[0],) * 2,
-                                (kh - 1 - pad[1],) * 2,
-                                (kw - 1 - pad[2],) * 2))
-                gx = _correlate(gp, wf, stride, (d, h, wdt))
+                gx = _correlate(g, gpad, wf, stride, (d, h, wdt))
                 x.accumulate_grad(gx.astype(xd.dtype, copy=False))
             else:
                 gxp = np.zeros((cin, d + 2 * pad[0], h + 2 * pad[1], wdt + 2 * pad[2]),

@@ -241,6 +241,24 @@ class TestSRInfer:
         lr = np.random.default_rng(22).uniform(-1, 1, (32, 32, 32)).astype(np.float32)
         assert np.array_equal(sr_infer(state, lr), sr_infer(state, lr))
 
+    @pytest.mark.parametrize("bad,error", [("nan", ValueError), ("shape", ShapeError),
+                                           ("range", ValueError)])
+    def test_bad_volume_rejected(self, bad, error, monkeypatch):
+        """A volume that is not a finite lr-resolution volume in [-1, 1] is
+        rejected before the generator runs: one NaN voxel would otherwise
+        spread to thousands of output voxels."""
+        state = build_sr(CFG, seed=25)
+        lr = np.random.default_rng(26).uniform(-1, 1, (32, 32, 32)).astype(np.float32)
+        if bad == "nan":
+            lr[3, 4, 5] = np.nan
+        elif bad == "shape":
+            lr = lr[:20, :20, :20]
+        else:
+            lr[0, 0, 0] = 5.0
+        monkeypatch.setattr(SRGenerator, "__call__", lambda *a, **k: pytest.fail("ran"))
+        with pytest.raises(error):
+            sr_infer(state, lr)
+
     def test_checkpoint_roundtrip(self, tmp_path):
         cfg = SRConfig(hr_resolution=32, subvol_len=4).validate()
         state = build_sr(cfg, seed=23)

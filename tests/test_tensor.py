@@ -78,13 +78,17 @@ class TestConv3d:
 
 # (kernel, stride, pad): the oracle set above, then the shapes the networks
 # use besides 3/1/1: d_h and the SR encoder, the SR bottleneck and decoder,
-# and the projection heads; last a kernel that is not a multiple of its
-# stride, whose last row window is short at an odd padded height
+# and the projection heads; a kernel that is not a multiple of its stride,
+# whose last row window is short at an odd padded height; a pad that reaches
+# past the kernel, so border outputs see only padding (bias only); last a
+# kernel, stride and pad that differ on every axis
 CONV_CASES = [(3, 1, 1), (4, 2, 1), (3, 1, 0), (2, 2, 0),
               ((1, 4, 4), (1, 2, 2), (0, 1, 1)),
               ((1, 3, 3), 1, (0, 1, 1)),
               (4, 1, 0),
-              (3, 2, 1)]
+              (3, 2, 1),
+              (1, 1, 1),
+              ((4, 3, 2), (2, 1, 2), (1, 1, 0))]
 
 
 def _out_shape(x_shape, w_shape, stride, pad):
@@ -124,13 +128,14 @@ class TestConv3dChunked:
         direct = conv3d_direct(x, w, b, stride, pad)
         assert np.abs(fast - direct).max() / np.abs(direct).max() < 1e-6
 
-    @pytest.mark.parametrize("k,stride,pad",
-                             [c for c in CONV_CASES if c not in ((3, 1, 0), (4, 1, 0))])
+    @pytest.mark.parametrize("k,stride,pad", [c for c in CONV_CASES
+                                              if c not in ((3, 1, 0), (4, 1, 0), (1, 1, 1))])
     def test_forward_bitwise_independent_of_chunking(self, monkeypatch, k, stride, pad):
-        """Apart from the unpadded 3/1/0 and 4/1/0 (odd output extents),
-        these convs map a power-of-two volume to a power-of-two volume, so
-        every chunk is a whole number of 16-voxel rows, and the float32
-        output must not change by a bit however the volume is chunked."""
+        """Apart from the unpadded 3/1/0 and 4/1/0 (odd output extents) and
+        1/1/1 (34 wide), these convs map a power-of-two volume to a
+        power-of-two volume, so every chunk is a whole number of 16-voxel
+        rows, and the float32 output must not change by a bit however the
+        volume is chunked."""
         rng = np.random.default_rng(8)
         kt = tuple(np.broadcast_to(k, 3))
         x = rng.standard_normal((3, 32, 32, 32)).astype(np.float32)
@@ -174,7 +179,7 @@ class TestConv3dChunked:
         k_rows, halo = T._unfold_rows(3, kt, st)
         bound = max(T.CONV_WORKSPACE_BYTES, k_rows * (1 + halo) * ow * x.itemsize)
         seen = np.zeros(out, int)
-        for zs, ys, views in T._unfold_chunks(xp, kt, st, out):
+        for zs, ys, views in T._unfold_chunks(x, pd, kt, st, out):
             seen[zs, ys] += 1
             assert len(views) == -(-kh // st[1])
             for q, v in enumerate(views):
@@ -188,6 +193,34 @@ class TestConv3dChunked:
                     root = root.base
                 assert root.nbytes <= bound
         assert np.all(seen == 1)
+
+    @pytest.mark.parametrize("k,stride,pad", [(3, 1, 1), (4, 2, 1)])
+    def test_several_slabs_short_last(self, monkeypatch, k, stride, pad):
+        """A deep volume unfolded one output row per chunk spans at least
+        three slabs, the last one short. The forward pass matches the direct
+        oracle, and the gradients match the same conv unfolded in one slab."""
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((2, 21, 5, 4))
+        w = rng.standard_normal((3, 2, k, k, k))
+        b = rng.standard_normal(3)
+        g = rng.standard_normal((3,) + _out_shape(x.shape, w.shape, stride, pad))
+
+        def run():
+            ts = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+            out = T.conv3d(*ts, stride, pad)
+            T.backward(T.tsum(T.mul(out, Tensor(g))))
+            return out.data, [t.grad for t in ts]
+
+        _, whole = run()
+        _shrink_workspace(monkeypatch, x.shape, w.shape, stride, pad, x.itemsize, rows=True)
+        od = g.shape[1]
+        ns = T._slab_slices(1, k, stride)
+        assert od > 2 * ns and od % ns
+        out, grads = run()
+        direct = conv3d_direct(x, w, b, stride, pad)
+        assert np.abs(out - direct).max() / np.abs(direct).max() < 1e-12
+        for got, want in zip(grads, whole):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_depth_window_interior_bitwise_at_any_extent(self):
         """A 3/1/1 conv on a depth window reproduces the full volume's
@@ -231,6 +264,24 @@ class TestConv3dChunked:
             tracemalloc.stop()
         assert x.grad is not None and w.grad is not None
         assert peak < 200 * 2 ** 20, f"traced peak {peak / 2 ** 20:.0f} MB"
+
+    def test_no_grad_workspace_at_128(self):
+        """A no_grad 8->1 conv at 128^3 stays far below one padded copy of
+        its 64 MB input: it holds the 8 MB output, one slab of a few padded
+        input planes and the unfold buffer."""
+        rng = np.random.default_rng(12)
+        x = Tensor(rng.standard_normal((8, 128, 128, 128), dtype=np.float32))
+        w = Tensor(rng.standard_normal((1, 8, 3, 3, 3), dtype=np.float32))
+        b = Tensor(np.zeros(1, np.float32))
+        tracemalloc.start()
+        try:
+            with T.no_grad():
+                out = T.conv3d(x, w, b, 1, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (1, 128, 128, 128)
+        assert peak < 24 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MB"
 
 
 class TestInterp:
