@@ -281,6 +281,9 @@ def cmd_eval(args) -> int:
     _, real = _load_volume_dir(args.real)
     _, fake = _load_volume_dir(args.fake)
     wanted = [m.strip() for m in args.metric.split(",") if m.strip()]
+    paired = [m for m in wanted if m in ("ssim", "psnr", "nmse", "dice")]
+    if paired and len(real) != len(fake):
+        raise UsageError(f"{paired[0]} pairs volumes: {len(real)} real, {len(fake)} fake")
     lines = ["# " + artifact_header(cfg)]
     need_features = {"fid", "mmd"} & set(wanted)
     if need_features:
@@ -293,13 +296,10 @@ def cmd_eval(args) -> int:
                                  ex.fingerprint)
         elif m == "mmd":
             rep = M.MetricReport("mmd", M.mmd_rbf(fr, ff), fr.n, ff.n, ex.fingerprint)
-        elif m in ("ssim", "psnr", "nmse"):
-            fn = getattr(M, m)
+        elif m in paired:
+            fn = (lambda a, b: M.dice(a > 0, b > 0)) if m == "dice" else getattr(M, m)
             vals = [fn(a, b) for a, b in zip(real, fake)]
             rep = M.MetricReport(m, float(np.mean(vals)), len(real), len(fake))
-        elif m == "dice":
-            vals = [M.dice(a > 0, b > 0) for a, b in zip(real, fake)]
-            rep = M.MetricReport("dice", float(np.mean(vals)), len(real), len(fake))
         elif m == "ks":
             stat, p = M.ks_test(np.concatenate([v.ravel() for v in real]),
                                 np.concatenate([v.ravel() for v in fake]))

@@ -23,6 +23,9 @@ of the padded input planes of a run of output slices (a few planes of
 the input, never the whole padded volume) plus an unfold buffer of at
 most ``tensor.CONV_WORKSPACE_BYTES`` (the depth and width taps, with the
 row taps read as offset views); neither grows with the volume's depth.
+Its input gradient is one such correlation of the output gradient, so
+backward adds only the correlation's own output, about the size of the
+input gradient, from which the stride phases are interleaved.
 """
 
 from __future__ import annotations

@@ -9,6 +9,8 @@ so checkpoints can restore it bit-exactly.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 from .tensor import Tensor, backward
@@ -50,13 +52,15 @@ class ParamStore:
         for name, p in self.params.items():
             p.requires_grad = name.startswith(prefixes)
 
-    def parameter_hash(self, prefix: str = "") -> int:
-        """Order-stable hash of raw parameter bytes, for update-isolation checks."""
-        h = 0
-        for name in sorted(self.params):
-            if name.startswith(prefix):
-                h = hash((h, name, self.params[name].data.tobytes()))
-        return h
+    def parameter_hash(self, prefix: str = "") -> str:
+        """SHA-256 hex digest of the names, dtypes, shapes and raw bytes of
+        the parameters under ``prefix``, in name order: the same in every
+        process, so it can be logged and compared across runs."""
+        h = hashlib.sha256()
+        for name in sorted(n for n in self.params if n.startswith(prefix)):
+            arr = self.params[name].data
+            h.update(repr((name, arr.dtype.str, arr.shape)).encode() + arr.tobytes())
+        return h.hexdigest()
 
     def total_parameters(self) -> int:
         return sum(p.data.size for p in self.params.values())

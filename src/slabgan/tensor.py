@@ -21,12 +21,14 @@ own, so measured and analytic reports mean the same thing. ``METER``
 does not tell a parameter from an activation, and it does not count Adam
 moments; memory reports take both as static bytes from the ParamStore.
 Raw numpy temporaries inside ops (op workspace) are intentionally not
-counted. Some are payload-sized (an output gradient, the strided conv's
-padded input gradient). conv3d never pads its input whole: it copies the
-padded input planes of a run of output slices into one reused slab, and
-unfolds a chunk of output slices or rows at a time from that slab into
-one reused buffer of at most ``CONV_WORKSPACE_BYTES``; the buffer holds
-the depth and width taps only, and the row taps are offset views of it.
+counted. Some are payload-sized (an output gradient, conv3d's input
+gradient before its stride phases are interleaved). conv3d never pads
+its input (or, for the input gradient, its output gradient) whole: it
+copies the padded input planes of a run of output slices into one reused
+slab, and unfolds a chunk of output slices or rows at a time from that
+slab into one reused buffer of at most ``CONV_WORKSPACE_BYTES``; the
+buffer holds the depth and width taps only, and the row taps are offset
+views of it.
 Resampling runs through its axis passes one chunk of channels
 (``INTERP_CHUNK_BYTES`` of output) at a time.
 """
@@ -652,8 +654,12 @@ def _unfold_chunks(x: np.ndarray, pad, ksize, stride, out_shape):
 
     The padded input is never built whole. The input planes of a run of
     output slices (``_slab_slices`` of them) are copied into one reused
-    slab of ``(C, planes, H + 2*ph, W + 2*pw)`` whose border is zero; planes
-    outside ``[0, D)`` are zeroed. The chunks' sliding windows are views of
+    slab of ``(C, planes, max(H + ph, (oh - 1)*sh + kh), ...)`` (likewise
+    along W) whose border is zero: the leading border is the pad, the
+    trailing one reaches as far as the output's windows, so a correlation
+    may read more zeros past the input's end than before its start (a
+    forward conv's slab is ``H + 2*ph`` rows or fewer). Planes outside
+    ``[0, D)`` are zeroed. The chunks' sliding windows are views of
     that slab, so a plane is copied about once, plus the ``kd - sd``
     planes that consecutive slabs share.
 
@@ -688,7 +694,8 @@ def _unfold_chunks(x: np.ndarray, pad, ksize, stride, out_shape):
         if buf is None:
             buf = np.empty(nz * k * t * ow, x.dtype)
             ns = min(od, _slab_slices(nz, kd, sd))
-            slab = np.zeros((cin, (ns - 1) * sd + kd, h + 2 * ph, wdt + 2 * pw), x.dtype)
+            slab = np.zeros((cin, (ns - 1) * sd + kd, max(h + ph, (oh - 1) * sh + kh),
+                             max(wdt + pw, (ow - 1) * sw + kw)), x.dtype)
             inner = slab[:, :, ph:ph + h, pw:pw + wdt]
             win = sliding_window_view(slab, (kd, kw), axis=(1, 3))[:, ::sd, :, ::sw][:, :, :, :ow]
             win = win.transpose(1, 0, 4, 5, 2, 3)    # (ns, C, kd, kw, Hp, ow)
@@ -716,6 +723,40 @@ def _group_weights(w: np.ndarray, sh: int) -> list[np.ndarray]:
             .reshape(w.shape[0], -1) for q, n in enumerate(_row_groups(w.shape[3], sh))]
 
 
+def _phase_weights(w: np.ndarray, stride, pad):
+    """The input gradient of a conv as one stride-1 correlation of its
+    output gradient ``g``, with one output channel per input channel and
+    stride phase.
+
+    Along an axis of kernel ``k``, stride ``s`` and pad ``p``, input
+    position ``s*m + r`` (phase ``r``) receives
+    ``sum_t g[m + lo + t] * v_r[t]`` over ``t < kk``, where
+    ``lo = (p + s - k) // s``, ``start = p + s - k - s*lo`` (in ``[0, s)``)
+    and ``kk = ceil((start + k) / s)``: the flipped kernel, padded with
+    zeros to ``s*kk`` taps starting at ``start`` and reshaped to ``(kk, s)``,
+    holds ``v_r`` in column ``s - 1 - r``. At ``s = 1`` this is the flipped
+    kernel with ``lo = p + 1 - k``. The correlation runs over ``ceil(n / s)``
+    positions of ``g`` padded with ``-lo`` leading zeros (a positive ``lo``
+    crops ``g`` instead).
+
+    Returns ``lo`` per axis and the ``(C_in*sd*sh*sw, C_out, kkd, kkh, kkw)``
+    kernel of ``w`` (``(C_out, C_in, kd, kh, kw)``), output channels ordered
+    (C_in, rd, rh, rw). The phases are views of the padded flipped kernel,
+    copied once, straight into the memory order
+    (kkh, C_in*sd*sh*sw, C_out, kkd, kkw) in which ``_group_weights(., 1)``
+    takes each row tap's matrix as a view.
+    """
+    cout, cin, *ks = w.shape
+    lo, start = zip(*(divmod(p + s - k, s) for k, s, p in zip(ks, stride, pad)))
+    kkd, kkh, kkw = (-(-(a + k) // s) for a, k, s in zip(start, ks, stride))
+    sd, sh, sw = stride
+    wp = np.zeros((cout, cin, sd * kkd, sh * kkh, sw * kkw), w.dtype)
+    wp[(...,) + tuple(slice(a, a + k) for a, k in zip(start, ks))] = w[..., ::-1, ::-1, ::-1]
+    phases = wp.reshape(cout, cin, kkd, sd, kkh, sh, kkw, sw)[..., ::-1, :, ::-1, :, ::-1]
+    stacked = np.ascontiguousarray(phases.transpose(4, 1, 3, 5, 7, 0, 2, 6))
+    return lo, stacked.reshape(kkh, -1, cout, kkd, kkw).transpose(1, 2, 3, 0, 4)
+
+
 def _chunk_view(a: np.ndarray, zs: slice, ys: slice) -> np.ndarray:
     """``a[:, zs, ys]`` of a C-contiguous ``(C, od, oh, ow)`` array as an
     ``(nz, C, ny*ow)`` view, the layout of a batch of per-slice GEMMs."""
@@ -724,9 +765,9 @@ def _chunk_view(a: np.ndarray, zs: slice, ys: slice) -> np.ndarray:
 
 
 def _correlate(x: np.ndarray, pad, w: np.ndarray, stride, out_shape) -> np.ndarray:
-    """Unbiased cross-correlation of an input zero-padded by ``pad``: per
-    chunk, the sum over row-shift groups of ``W_q @ view_q``, in group
-    order."""
+    """Unbiased cross-correlation of an input zero-padded by ``pad`` in
+    front, and behind as far as ``out_shape``'s windows reach: per chunk,
+    the sum over row-shift groups of ``W_q @ view_q``, in group order."""
     wq = _group_weights(w, stride[1])
     out = np.empty((w.shape[0],) + tuple(out_shape), np.result_type(w, x))
     for zs, ys, views in _unfold_chunks(x, pad, w.shape[2:], stride, out_shape):
@@ -756,11 +797,12 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor, stride=1, pad=0) -> Tensor:
 
     * forward: ``out[:, chunk] = sum_q W_q @ view_q``, in group order;
     * weight gradient: ``gW_q += g[:, chunk] @ view_q.T``;
-    * input gradient at stride 1: the forward correlation of the output
-      gradient, padded by ``k - 1 - pad``, with the flipped,
-      channel-swapped kernel;
-    * input gradient otherwise: ``W2.T @ g[:, chunk]`` scattered back tap
-      by tap (col2im).
+    * input gradient: one stride-1 correlation of the output gradient with
+      the phase-stacked flipped kernel of ``_phase_weights`` (C_in*sd*sh*sw
+      output channels over ``ceil(n / s)`` positions per axis, one channel
+      per input channel and stride phase), whose phases are then
+      interleaved into the input's shape. At stride 1 it is the correlation
+      with the flipped, channel-swapped kernel, padded by ``k - 1 - pad``.
 
     The arithmetic of an output voxel must not depend on the volume's
     extent or on where the chunks fall: a decoder run on a depth window
@@ -812,30 +854,17 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor, stride=1, pad=0) -> Tensor:
                                  for n, acc in zip(groups, gq)], axis=3)
             w.accumulate_grad(gw.astype(wd.dtype, copy=False))
         if x.requires_grad:
-            gpad = (kd - 1 - pad[0], kh - 1 - pad[1], kw - 1 - pad[2])
-            if stride == (1, 1, 1) and min(gpad) >= 0:
-                # full correlation of g with the flipped kernel
-                wf = wd[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
-                gx = _correlate(g, gpad, wf, stride, (d, h, wdt))
-                x.accumulate_grad(gx.astype(xd.dtype, copy=False))
-            else:
-                gxp = np.zeros((cin, d + 2 * pad[0], h + 2 * pad[1], wdt + 2 * pad[2]),
-                               dtype=xd.dtype)
-                w2t = wd.reshape(cout, -1).T
-                for zs, ys in _conv_chunks(cin * kd * kh * kw, outs, g.itemsize):
-                    gc = g[:, zs, ys]
-                    cols = (w2t @ gc.reshape(cout, -1)).reshape(
-                        (cin, kd, kh, kw) + gc.shape[1:])
-                    nz, ny, nx = gc.shape[1:]
-                    for i, j, k in np.ndindex(kd, kh, kw):
-                        z0 = zs.start * stride[0] + i
-                        y0 = ys.start * stride[1] + j
-                        gxp[:,
-                            z0:z0 + nz * stride[0]:stride[0],
-                            y0:y0 + ny * stride[1]:stride[1],
-                            k:k + nx * stride[2]:stride[2]] += cols[:, i, j, k]
-                gx = gxp[:, pad[0]:pad[0] + d, pad[1]:pad[1] + h, pad[2]:pad[2] + wdt]
-                x.accumulate_grad(np.ascontiguousarray(gx))
+            lo, wg = _phase_weights(wd, stride, pad)
+            ext = tuple(-(-n // s) for n, s in zip((d, h, wdt), stride))
+            gc = g[:, max(lo[0], 0):, max(lo[1], 0):, max(lo[2], 0):]
+            gp = _correlate(gc, [max(-n, 0) for n in lo], wg, (1, 1, 1), ext)
+            gp = gp.reshape((cin,) + stride + ext)
+            # interleave the phases: gx[:, s*m + r] = gp[:, r, m]
+            gx = np.empty(xd.shape, xd.dtype)
+            for r in np.ndindex(*stride):
+                dst = gx[:, r[0]::stride[0], r[1]::stride[1], r[2]::stride[2]]
+                np.copyto(dst, gp[(slice(None),) + r + tuple(map(slice, dst.shape[1:]))])
+            x.accumulate_grad(gx)
     return _make(out, (x, w, b), bwd, "conv3d")
 
 

@@ -126,6 +126,19 @@ class TestCLI:
                 "--out", str(tmp_path / "o"), "--n", "2"]
         assert main(args + (["--class", cls] if cls else [])) == code
 
+    @pytest.mark.parametrize("metric", ["ssim", "psnr", "nmse", "dice", "fid,dice"])
+    def test_eval_paired_metric_count_mismatch_exit_1(self, tmp_path, capsys, metric):
+        rng = np.random.default_rng(3)
+        for name, n in (("real", 3), ("fake", 1)):
+            (tmp_path / name).mkdir()
+            for i in range(n):
+                volume_write(tmp_path / name / f"v{i}.hagv",
+                             rng.uniform(-1, 1, (16, 16, 16)).astype(np.float32))
+        args = ["eval", "--real", str(tmp_path / "real"), "--seed", "1", "--metric", metric]
+        assert main(args + ["--fake", str(tmp_path / "fake")]) == 1
+        assert "3 real, 1 fake" in capsys.readouterr().err
+        assert main(args + ["--fake", str(tmp_path / "real")]) == 0
+
     def test_phantoms_writes_volumes_and_manifest(self, tmp_path):
         out = tmp_path / "ph"
         rc = main(["phantoms", "--n", "4", "--seed", "5", "--resolution", "32",

@@ -2,6 +2,8 @@
 differences, tape semantics, Adam."""
 
 import gc
+import os
+import subprocess
 import sys
 import tracemalloc
 import zlib
@@ -80,15 +82,18 @@ class TestConv3d:
 # use besides 3/1/1: d_h and the SR encoder, the SR bottleneck and decoder,
 # and the projection heads; a kernel that is not a multiple of its stride,
 # whose last row window is short at an odd padded height; a pad that reaches
-# past the kernel, so border outputs see only padding (bias only); last a
-# kernel, stride and pad that differ on every axis
+# past the kernel, so border outputs see only padding (bias only); a
+# kernel, stride and pad that differ on every axis; a kernel smaller than
+# its stride, whose odd input phases get no taps; last a stride of 3
 CONV_CASES = [(3, 1, 1), (4, 2, 1), (3, 1, 0), (2, 2, 0),
               ((1, 4, 4), (1, 2, 2), (0, 1, 1)),
               ((1, 3, 3), 1, (0, 1, 1)),
               (4, 1, 0),
               (3, 2, 1),
               (1, 1, 1),
-              ((4, 3, 2), (2, 1, 2), (1, 1, 0))]
+              ((4, 3, 2), (2, 1, 2), (1, 1, 0)),
+              (1, 2, 0),
+              (2, 3, 1)]
 
 
 def _out_shape(x_shape, w_shape, stride, pad):
@@ -157,6 +162,24 @@ class TestConv3dChunked:
                   rng.standard_normal(3) * 0.1]
         _shrink_workspace(monkeypatch, arrays[0].shape, arrays[1].shape, stride, pad, 8, rows)
         gradcheck(lambda x, w, b: T.tsum(T.square(T.conv3d(x, w, b, stride, pad))), arrays)
+
+    @pytest.mark.parametrize("rows", [False, True])
+    @pytest.mark.parametrize("k,stride,pad", CONV_CASES)
+    def test_input_gradient_is_adjoint(self, monkeypatch, k, stride, pad, rows):
+        """The input gradient is the adjoint of the conv:
+        ``<conv(x), g> == <x, dx>`` in float64, at odd extents, with the
+        whole workspace and with one output row per chunk."""
+        rng = np.random.default_rng(zlib.crc32(repr((k, stride, pad, rows)).encode()))
+        kt = tuple(np.broadcast_to(k, 3))
+        x = Tensor(rng.standard_normal((3, 9, 7, 11)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 3) + kt))
+        if rows:
+            _shrink_workspace(monkeypatch, x.shape, w.shape, stride, pad, 8, rows)
+        out = T.conv3d(x, w, Tensor(np.zeros(4)), stride, pad)
+        g = rng.standard_normal(out.shape)
+        T.backward(T.tsum(T.mul(out, Tensor(g))))
+        lhs = float(np.vdot(out.data, g))
+        assert abs(lhs - float(np.vdot(x.data, x.grad))) <= 1e-12 * abs(lhs)
 
     @pytest.mark.parametrize("rows", [False, True])
     @pytest.mark.parametrize("k,stride,pad", CONV_CASES)
@@ -670,6 +693,36 @@ class TestAdam:
         optimize(store, loss, lr=0.1, clip_norm=2.0)
         # gradient (12, -16) has norm 20; clipping rescales it to norm 2
         assert np.allclose(seen[0], [1.2, -1.6])
+
+
+# a small ParamStore, built the same way in this process and in subprocesses
+_STORE_CODE = """
+import numpy as np
+from slabgan.optim import ParamStore
+from slabgan.tensor import Tensor
+store = ParamStore()
+store.register("net/b", Tensor(np.arange(3, dtype=np.float32)))
+store.register("net/a", Tensor(np.linspace(-1, 1, 12).reshape(3, 4)))
+"""
+
+
+class TestParamStore:
+    def test_parameter_hash_same_in_every_process(self):
+        """The hash depends on the parameters only, not on the process's
+        string-hash salt, so runs can log and compare it."""
+        ns = {}
+        exec(_STORE_CODE, ns)
+        here = ns["store"].parameter_hash()
+        src = os.path.dirname(os.path.dirname(optim.__file__))
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-c", _STORE_CODE + "print(store.parameter_hash())"],
+                env=env, capture_output=True, text=True, check=True)
+            assert proc.stdout.strip() == here
+        ns["store"]["net/b"].data[0] = 1.0
+        assert ns["store"].parameter_hash() != here
+        assert ns["store"].parameter_hash("net/a") != ns["store"].parameter_hash()
 
 
 class TestFiniteDifferencePrimitives:
