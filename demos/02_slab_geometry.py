@@ -7,9 +7,8 @@ percentile of slices. Encoding uses a disjoint partition instead.
 
 import numpy as np
 
-from slabgan.geometry import (concat_subvolumes, partition_volume, sample_r,
-                              select_high, select_low, split_volume)
-from slabgan.tensor import Tensor
+from slabgan.geometry import sample_r, select_high, select_low, split_volume
+from slabgan.tensor import Tensor, concat
 
 rng = np.random.default_rng(1)
 
@@ -20,13 +19,12 @@ print(f"drawn window: low [{w.start}, {w.start + w.length}) "
 
 a = Tensor(np.arange(16, dtype=np.float32)[None, :, None, None]
            * np.ones((1, 16, 2, 2), np.float32))
-x = Tensor(np.arange(64, dtype=np.float32)[None, :, None, None]
-           * np.ones((1, 64, 2, 2), np.float32))
+vol = np.arange(64, dtype=np.float32)[:, None, None] * np.ones((64, 2, 2), np.float32)
 low = select_low(a, w)
-high = select_high(x, w)
+high = select_high(vol, w)          # a (1, d, H, W) view of the raw volume
 print(f"low slab depth indices:  {low.data[0, :, 0, 0].astype(int)}")
-print(f"high slab depth range:   {int(high.data[0, 0, 0, 0])}..{int(high.data[0, -1, 0, 0])}")
-assert high.data[0, 0, 0, 0] == scale * low.data[0, 0, 0, 0]
+print(f"high slab depth range:   {int(high[0, 0, 0, 0])}..{int(high[0, -1, 0, 0])}")
+assert high[0, 0, 0, 0] == scale * low.data[0, 0, 0, 0]
 
 # empirical uniformity of the window start
 starts = [sample_r(64, 8, rng).start for _ in range(10000)]
@@ -35,9 +33,10 @@ print(f"start uniformity over 10k draws: min {counts.min()}, max {counts.max()} 
       f"(ideal {10000 // 57})")
 
 # non-overlapping partition covers the depth exactly and concat inverts it
-p = partition_volume(64, 8)
-print(f"partition of depth 64 into 8: starts {p.starts}, length {p.length}")
+x = Tensor(vol[None])
 parts = split_volume(x, 8)
-rebuilt = concat_subvolumes(parts)
+print(f"partition of depth 64 into 8: starts "
+      f"{[int(p.data[0, 0, 0, 0]) for p in parts]}, length {parts[0].shape[1]}")
+rebuilt = concat(parts, axis=1)
 assert np.array_equal(rebuilt.data, x.data)
 print("split -> concat round trip: exact")

@@ -35,7 +35,7 @@ print("\n=== slab/full consistency of the decoder ===")
 cfg = desk_config(subvol_multiplier=0.5)
 nets = build_model_set(cfg, np.random.default_rng(2))
 a = Tensor(np.random.default_rng(3).standard_normal(
-    (cfg.fc,) + (cfg.low_resolution,) * 3).astype(np.float32))
+    (cfg.base_channels,) + (cfg.low_resolution,) * 3).astype(np.float32))
 with no_grad():
     full = nets.g_h(a, training=False).data
 w = SliceWindow(3, cfg.subvol_depth_low, resolution_scale=4)

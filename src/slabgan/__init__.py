@@ -6,17 +6,19 @@ scales with the slab rather than the full volume; inference generates and
 encodes whole volumes directly. Includes the class-conditional variant,
 a slab-trained super-resolution model, distribution/image metrics, and an
 analytic + instrumented memory cost model. Pure numpy/scipy.
+Re-exported here: the Tensor and its heavy ops, the depth-window
+selectors and partition, and the network scale configuration.
 """
 
 from .tensor import (Tensor, backward, no_grad, conv3d, dense, group_norm,
-                     trilinear_interp, spectral_norm, activation)
-from .geometry import SliceWindow, Partition, sample_r, select_low, select_high
+                     interp_plan, resize3d, spectral_norm, activation)
+from .geometry import SliceWindow, sample_r, select_low, select_high, split_volume
 from .networks import NetConfig, reference_config, desk_config
 
 __all__ = [
     "Tensor", "backward", "no_grad", "conv3d", "dense", "group_norm",
-    "trilinear_interp", "spectral_norm", "activation",
-    "SliceWindow", "Partition", "sample_r", "select_low", "select_high",
+    "interp_plan", "resize3d", "spectral_norm", "activation",
+    "SliceWindow", "sample_r", "select_low", "select_high", "split_volume",
     "NetConfig", "reference_config", "desk_config",
 ]
 

@@ -219,12 +219,21 @@ def cmd_reconstruct(args) -> int:
     from .inference import reconstruct
     from .training import load_checkpoint
     cfg = _run_config(args)
-    out = _ensure_out(cfg)
     state = load_checkpoint(args.checkpoint)
     names, vols = _load_volume_dir(args.input)
-    for name, vol in zip(names, vols):
-        rec = reconstruct(state.nets, vol,
-                          c=0 if state.cfg.num_classes else None)
+    classes = [None] * len(names)
+    if state.cfg.num_classes:
+        # a conditional model decodes each volume as the class labels.tsv gives it
+        lab_path = os.path.join(args.input, "labels.tsv")
+        table = _read_labels(lab_path) if os.path.exists(lab_path) else {}
+        missing = [n for n in names if n not in table]
+        if missing:
+            raise UsageError(f"class-conditional checkpoint: no class for {missing[:5]} "
+                             f"in {lab_path}")
+        classes = [int(table[n]["class"]) for n in names]
+    out = _ensure_out(cfg)
+    for name, vol, c in zip(names, vols, classes):
+        rec = reconstruct(state.nets, vol, c=c)
         volume_write(os.path.join(out, name.replace(".hagv", "_rec.hagv")), rec)
     write_manifest(out, cfg, {"n_volumes": len(names), "source": args.input})
     print(f"reconstructed {len(names)} volumes into {out}")
@@ -448,7 +457,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--in", dest="input", required=True)
     sp.set_defaults(fn=cmd_encode)
 
-    sp = sub.add_parser("reconstruct", help="encode + decode volumes")
+    sp = sub.add_parser("reconstruct", help="encode + decode volumes (a class-conditional "
+                        "checkpoint takes each class from labels.tsv in --in)")
     _add_common(sp, seed_required=False)
     sp.add_argument("--checkpoint", required=True)
     sp.add_argument("--in", dest="input", required=True)

@@ -40,8 +40,7 @@ class RunConfig:
     saturating_gan: bool = False
     deterministic_r: bool = False
     clip_norm: float = 0.0                # 0 = off
-    # super-resolution
-    sr_factor: int = 2
+    # super-resolution (factor 2)
     sr_noise_sigma: float = 0.05
     sr_subvol_len: int = 8
     sr_lambda: float = 1.0
@@ -63,7 +62,6 @@ class RunConfig:
 
     def sr_config(self) -> SRConfig:
         return SRConfig(hr_resolution=self.full_resolution,
-                        sr_factor=self.sr_factor,
                         noise_sigma=self.sr_noise_sigma,
                         subvol_len=self.sr_subvol_len,
                         lam=self.sr_lambda,

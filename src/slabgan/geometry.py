@@ -41,17 +41,6 @@ class SliceWindow:
         return self.length * self.resolution_scale
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Equal-length disjoint windows covering [0, depth) in order."""
-    starts: tuple
-    length: int
-
-    @property
-    def count(self) -> int:
-        return len(self.starts)
-
-
 def select_low(a: Tensor, w: SliceWindow) -> Tensor:
     """Window of a (C, D, H, W) tensor along depth, at low resolution."""
     if w.start + w.length > a.shape[1]:
@@ -59,11 +48,13 @@ def select_low(a: Tensor, w: SliceWindow) -> Tensor:
     return slice_axis(a, axis=1, start=w.start, length=w.length)
 
 
-def select_high(x: Tensor, w: SliceWindow) -> Tensor:
-    """Window at high resolution: indices scaled by ``w.resolution_scale``."""
-    if w.high_start + w.high_length > x.shape[1]:
-        raise ShapeError(f"high window {w} out of bounds for depth {x.shape[1]}")
-    return slice_axis(x, axis=1, start=w.high_start, length=w.high_length)
+def select_high(vol: np.ndarray, w: SliceWindow) -> np.ndarray:
+    """High-resolution window of a raw (D, H, W) volume, as a (1, d, H, W)
+    view: indices scaled by ``w.resolution_scale``."""
+    s, l = w.high_start, w.high_length
+    if s + l > vol.shape[0]:
+        raise ShapeError(f"high window {w} out of bounds for depth {vol.shape[0]}")
+    return vol[None, s:s + l]
 
 
 def sample_r(depth_low: int, length_low: int, rng: np.random.Generator,
@@ -91,33 +82,16 @@ def deterministic_windows(depth_low: int, length_low: int,
             for s in range(0, depth_low - length_low + 1, length_low)]
 
 
-def partition_volume(depth: int, count: int) -> Partition:
-    """Disjoint cover of [0, depth) by ``count`` equal windows."""
+def split_volume(x: Tensor, count: int) -> list[Tensor]:
+    """Split along depth into ``count`` equal sub-volumes, ascending.
+
+    A depth that ``count`` does not divide raises ShapeError.
+    """
+    depth = x.shape[1]
     if depth % count:
         raise ShapeError(f"depth {depth} not divisible into {count} windows")
     length = depth // count
-    return Partition(starts=tuple(range(0, depth, length)), length=length)
-
-
-def partition_windows(p: Partition, resolution_scale: int = 1) -> list[SliceWindow]:
-    return [SliceWindow(s, p.length, resolution_scale) for s in p.starts]
-
-
-def split_volume(x: Tensor, count: int) -> list[Tensor]:
-    """Split along depth into ``count`` equal sub-volumes, ascending."""
-    p = partition_volume(x.shape[1], count)
-    return [slice_axis(x, 1, s, p.length) for s in p.starts]
-
-
-def concat_subvolumes(parts) -> Tensor:
-    """Depth-axis concatenation; inverse of split_volume for ordered parts."""
-    parts = list(parts)
-    ref = parts[0].shape
-    for p in parts[1:]:
-        if p.shape[0] != ref[0] or p.shape[2:] != ref[2:]:
-            raise ShapeError(f"concat_subvolumes shape mismatch: {[p.shape for p in parts]}")
-    from .tensor import concat
-    return concat(parts, axis=1)
+    return [slice_axis(x, 1, s, length) for s in range(0, depth, length)]
 
 
 def check_volume(vol, shape) -> np.ndarray:

@@ -191,11 +191,3 @@ def traverse(nets: ModelSet, z0: np.ndarray, direction: LatentDirection,
         preds.append(float(direction.predict(z.astype(np.float64))))
     return vols, preds
 
-
-def solve_target(direction: LatentDirection, z0: np.ndarray, target_value: float) -> float:
-    """Offset t along the unit direction for which the linear predictor
-    reaches the target value."""
-    slope = float(direction.coef @ direction.w)
-    if abs(slope) < 1e-12:
-        raise ValueError("direction has no predictive slope")
-    return (target_value - float(direction.predict(z0))) / slope

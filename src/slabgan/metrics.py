@@ -24,6 +24,9 @@ from .tensor import Tensor, no_grad
 DYNAMIC_RANGE = 2.0
 # cap reported when the reference and image are numerically identical
 PSNR_MAX_DB = 200.0
+# the feature extractor: channels of its first stage, and its stride-2 stages
+_EXTRACTOR_WIDTH = 8
+_EXTRACTOR_STAGES = 4
 
 
 class FingerprintMismatch(ValueError):
@@ -68,21 +71,22 @@ def _check_pair(a: FeatureSet, b: FeatureSet) -> None:
 class FixedExtractor:
     """Seed-deterministic random conv stack ending in global average pooling.
 
-    Channels double every stride-2 stage starting at ``width``; weights are
-    drawn once from the seed and never trained. The fingerprint hashes the
-    seed together with the layer shape listing, so any change to either
-    yields a different fingerprint.
+    Channels double every stride-2 stage starting at ``_EXTRACTOR_WIDTH``;
+    weights are drawn once from the seed and never trained. The fingerprint
+    hashes the seed together with the layer shape listing, so any change
+    to either yields a different fingerprint.
     """
 
-    def __init__(self, input_res: int, seed: int = 0, width: int = 8, n_stages: int = 4):
-        if input_res % (2 ** n_stages):
-            raise ValueError(f"input resolution {input_res} not divisible by 2^{n_stages}")
+    def __init__(self, input_res: int, seed: int = 0):
+        if input_res % (2 ** _EXTRACTOR_STAGES):
+            raise ValueError(f"input resolution {input_res} not divisible by "
+                             f"2^{_EXTRACTOR_STAGES}")
         self.input_res = input_res
         self.seed = seed
         layers = []
         c_prev = 1
-        for i in range(n_stages):
-            c = width * 2 ** i
+        for i in range(_EXTRACTOR_STAGES):
+            c = _EXTRACTOR_WIDTH * 2 ** i
             layers.append((f"conv{i}", Conv3d(c_prev, c, 4, 2, 1)))
             layers.append((f"act{i}", Act("leaky_relu", alpha=0.2)))
             c_prev = c
@@ -162,8 +166,8 @@ def _sqdist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return xx + yy - 2.0 * (x @ y.T)
 
 
-def mmd_rbf(a, b, bandwidth: float | None = None, biased: bool = False) -> float:
-    """MMD^2 with a Gaussian kernel (unbiased U-statistic by default).
+def mmd_rbf(a, b, bandwidth: float | None = None) -> float:
+    """MMD^2 with a Gaussian kernel (the unbiased U-statistic).
 
     The bandwidth defaults to the median pairwise distance heuristic over
     the pooled samples.
@@ -181,34 +185,9 @@ def mmd_rbf(a, b, bandwidth: float | None = None, biased: bool = False) -> float
     kaa = np.exp(-gamma * np.maximum(_sqdist(fa, fa), 0.0))
     kbb = np.exp(-gamma * np.maximum(_sqdist(fb, fb), 0.0))
     kab = np.exp(-gamma * np.maximum(_sqdist(fa, fb), 0.0))
-    if biased:
-        return float(kaa.mean() + kbb.mean() - 2.0 * kab.mean())
     saa = (kaa.sum() - np.trace(kaa)) / (m * (m - 1))
     sbb = (kbb.sum() - np.trace(kbb)) / (n * (n - 1))
     return float(saa + sbb - 2.0 * kab.mean())
-
-
-def mmd_permutation_test(a, b, n_permutations: int = 200,
-                         rng: np.random.Generator | None = None,
-                         bandwidth: float | None = None) -> float:
-    """Permutation p-value for MMD^2: fraction of label shuffles at least as
-    extreme as the observed statistic (add-one estimator)."""
-    fa = a.features if isinstance(a, FeatureSet) else np.asarray(a, dtype=np.float64)
-    fb = b.features if isinstance(b, FeatureSet) else np.asarray(b, dtype=np.float64)
-    if isinstance(a, FeatureSet) and isinstance(b, FeatureSet):
-        _check_pair(a, b)
-    rng = rng or np.random.default_rng(0)
-    m = fa.shape[0]
-    pooled = np.concatenate([fa, fb], axis=0)
-    h = bandwidth if bandwidth is not None else median_bandwidth(fa, fb)
-    observed = mmd_rbf(fa, fb, bandwidth=h)
-    hits = 0
-    for _ in range(n_permutations):
-        perm = rng.permutation(pooled.shape[0])
-        pa, pb = pooled[perm[:m]], pooled[perm[m:]]
-        if mmd_rbf(pa, pb, bandwidth=h) >= observed:
-            hits += 1
-    return (hits + 1) / (n_permutations + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +294,6 @@ def hu_window_map(raw_hu: np.ndarray, window=HU_WINDOW) -> np.ndarray:
     lo, hi = window
     arr = np.clip(np.asarray(raw_hu, dtype=np.float64), lo, hi)
     return (2.0 * (arr - lo) / (hi - lo) - 1.0).astype(np.float32)
-
-
-def hu_window_unmap(mapped: np.ndarray, window=HU_WINDOW) -> np.ndarray:
-    lo, hi = window
-    arr = np.asarray(mapped, dtype=np.float64)
-    return (arr + 1.0) / 2.0 * (hi - lo) + lo
 
 
 def pca_2d(features: np.ndarray) -> np.ndarray:

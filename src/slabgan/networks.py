@@ -56,17 +56,12 @@ class NetConfig:
     full_resolution: int = 64
     latent_dim: int = 64
     base_channels: int = 8
-    feature_channels: int | None = None
     subvol_multiplier: float = 0.125
     num_classes: int | None = None
 
     @property
     def low_resolution(self) -> int:
         return self.full_resolution // 4
-
-    @property
-    def fc(self) -> int:
-        return self.feature_channels if self.feature_channels else self.base_channels
 
     @property
     def subvol_depth_high(self) -> int:
@@ -117,10 +112,6 @@ def _c(v: float) -> int:
     return max(1, int(v))
 
 
-def _gn(channels, per_depth_slice=False):
-    return [GroupNorm(channels, per_depth_slice=per_depth_slice), Act("relu")]
-
-
 # ---------------------------------------------------------------------------
 # generator family
 
@@ -130,10 +121,10 @@ def build_g_a(cfg: NetConfig) -> Sequential:
 
     Dense to a 4^3 seed, then a fixed-length conv ladder; the last
     log2(low/4) blocks interleave x2 upsampling so the trunk ends at the
-    low resolution with ``fc`` channels.
+    low resolution with ``base_channels`` channels.
     """
     cfg.validate()
-    fc, cap = cfg.fc, _c(8 * cfg.fc)
+    fc, cap = cfg.base_channels, _c(8 * cfg.base_channels)
     n_up = int(np.log2(cfg.low_resolution // 4))
     in_dim = cfg.latent_dim + (cfg.num_classes or 0)
     chans = [cap, cap, _c(cap // 2), _c(cap // 4), fc][:_TRUNK_STAGES]
@@ -154,7 +145,7 @@ def build_g_a(cfg: NetConfig) -> Sequential:
 
 def build_g_l(cfg: NetConfig) -> Sequential:
     """Low-resolution decoder: A -> one-channel volume in (-1, 1)."""
-    fc = cfg.fc
+    fc = cfg.base_channels
     low = cfg.low_resolution
     c1, c2 = _c(fc // 2), _c(fc // 4)
     layers = [
@@ -173,7 +164,7 @@ def build_g_h(cfg: NetConfig) -> Sequential:
     inference. Normalization statistics are per depth slice so windowed
     and full runs agree outside CONSISTENCY_MARGIN.
     """
-    fc = cfg.fc
+    fc = cfg.base_channels
     c1 = _c(fc // 2)
     low = cfg.low_resolution
     layers = [
@@ -193,14 +184,14 @@ def build_g_h(cfg: NetConfig) -> Sequential:
 
 def build_e_h(cfg: NetConfig) -> Sequential:
     """Slab encoder: high-res sub-volume -> matching window of A-hat (/4)."""
-    fc = cfg.fc
+    fc = cfg.base_channels
     c1 = _c(fc // 2)
     d0 = cfg.subvol_depth_high
     hr = cfg.full_resolution
     layers = [
-        ("conv0", Conv3d(1, c1, 4, 2, 1)), *_named(_gn(c1), 0),
-        ("conv1", Conv3d(c1, c1, 3, 1, 1)), *_named(_gn(c1), 1),
-        ("conv2", Conv3d(c1, fc, 4, 2, 1)), *_named(_gn(fc), 2),
+        ("conv0", Conv3d(1, c1, 4, 2, 1)), ("norm0", GroupNorm(c1)), ("act0", Act("relu")),
+        ("conv1", Conv3d(c1, c1, 3, 1, 1)), ("norm1", GroupNorm(c1)), ("act1", Act("relu")),
+        ("conv2", Conv3d(c1, fc, 4, 2, 1)), ("norm2", GroupNorm(fc)), ("act2", Act("relu")),
     ]
     return Sequential("e_h", layers, in_shape=(1, d0, hr, hr))
 
@@ -211,7 +202,7 @@ def build_e_g(cfg: NetConfig) -> Sequential:
     A fixed-length conv ladder whose first log2(low/4) convs stride by 2
     (the rest run at 4^3), closed by a valid 4^3 conv emitting the latent.
     """
-    fc = cfg.fc
+    fc = cfg.base_channels
     low = cfg.low_resolution
     n_stride = int(np.log2(low // 4))
     chans = [_c(4 * fc) >> (_ENC_STAGES - 1 - i) for i in range(_ENC_STAGES)]
@@ -223,21 +214,14 @@ def build_e_g(cfg: NetConfig) -> Sequential:
         pad = 1
         layers.append((f"conv{i}", Conv3d(c_prev, chans[i], 4 if stride == 2 else 3,
                                           stride, pad)))
-        layers += _named(_gn(chans[i]), i)
+        layers.append((f"norm{i}", GroupNorm(chans[i])))
+        layers.append((f"act{i}", Act("relu")))
         c_prev = chans[i]
     layers.append(("proj", Conv3d(c_prev, cfg.latent_dim, 4, 1, 0)))
     layers.append(("flat", Flatten()))
     net = Sequential("e_g", layers, in_shape=(fc, low, low, low))
     assert net.out_shape() == (cfg.latent_dim,)
     return net
-
-
-def _named(layer_list, idx):
-    out = []
-    for l in layer_list:
-        base = {"GroupNorm": "norm", "ReLU": "act"}.get(l.describe(), l.describe().lower())
-        out.append((f"{base}{idx}", l))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +273,7 @@ class Discriminator:
 
 def build_d_l(cfg: NetConfig) -> Discriminator:
     """Low-resolution discriminator: full low-res image -> scalar logit."""
-    fc = cfg.fc
+    fc = cfg.base_channels
     low = cfg.low_resolution
     n_stride = int(np.log2(low // 4))
     chans = [max(1, _c(4 * fc) >> (_ENC_STAGES - 1 - i)) for i in range(_ENC_STAGES)]
@@ -342,7 +326,7 @@ def build_d_h(cfg: NetConfig, in_channels: int = 1, prefix: str = "d_h",
     valid 4x4 collapse, a mean-pool over any leftover depth, and a small
     dense chain.
     """
-    fc = cfg.fc
+    fc = cfg.base_channels
     hr = cfg.full_resolution
     d0 = depth_in if depth_in is not None else cfg.subvol_depth_high
     n_stages = int(np.log2(hr // 8))

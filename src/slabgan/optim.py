@@ -36,12 +36,6 @@ class ParamStore:
         self.buffers[name] = arr
         return arr
 
-    def names(self):
-        return list(self.params.keys())
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self.params[name]
-
     def zero_grads(self) -> None:
         for p in self.params.values():
             p.zero_grad()

@@ -86,17 +86,14 @@ def phantom_generate(seed: int, class_label: int, extents=(64, 64, 64)):
     return ph, vol
 
 
-def phantom_dataset(n: int, extents=(64, 64, 64), base_seed: int = 0,
-                    balanced: bool = True, rng: np.random.Generator | None = None):
-    """n phantoms with cycled (balanced) or sampled class labels.
+def phantom_dataset(n: int, extents=(64, 64, 64), base_seed: int = 0):
+    """n phantoms with cycled (balanced) class labels.
 
     Returns (volumes float32 array (n, D, H, W), labels, phantom records).
     """
-    if rng is None and not balanced:
-        rng = np.random.default_rng(base_seed)
     vols, labels, records = [], [], []
     for i in range(n):
-        label = i % N_CLASSES if balanced else int(rng.integers(0, N_CLASSES))
+        label = i % N_CLASSES
         ph, v = phantom_generate(base_seed + i, label, extents)
         vols.append(v)
         labels.append(label)

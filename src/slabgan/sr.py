@@ -20,13 +20,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor as T
-from .geometry import SliceWindow, check_volume, sample_r
+from .geometry import check_volume, sample_r, select_high
 from .layers import Act, Conv3d, GroupNorm, Interp, Sequential
 from .networks import NetConfig, build_d_h
 from .optim import ParamStore
 from .tensor import Tensor, no_grad
 from .training import (_encode_rng, batch_update, gan_d_loss, gan_g_loss, read_checkpoint,
-                       restore_store, step_guard, write_store_checkpoint)
+                       restore_store, step_guard, stored_config, write_store_checkpoint)
 
 # interior agreement margin between slab and full-volume SR, in input
 # (low-resolution) slices
@@ -36,7 +36,6 @@ SR_CONSISTENCY_MARGIN = 2
 @dataclass(frozen=True)
 class SRConfig:
     hr_resolution: int = 64
-    sr_factor: int = 2
     noise_sigma: float = 0.05
     subvol_len: int = 8            # depth window length on the LR grid
     lam: float = 1.0               # weight of the l1 reconstruction term
@@ -47,11 +46,9 @@ class SRConfig:
 
     @property
     def lr_resolution(self) -> int:
-        return self.hr_resolution // self.sr_factor
+        return self.hr_resolution // 2
 
     def validate(self) -> "SRConfig":
-        if self.sr_factor != 2:
-            raise ValueError("only factor-2 super-resolution is supported")
         if self.hr_resolution % 2:
             raise ValueError("hr_resolution must be even")
         if self.subvol_len < 2 or self.subvol_len > self.lr_resolution:
@@ -204,9 +201,7 @@ def _sr_alternate(state: SRState, pairs: list) -> dict:
     report = {"step": state.step, "r": w.start}
 
     def windows(p: PairedSample):
-        lr_sub = p.lr[None, w.start:w.start + w.length]
-        hr_sub = p.hr[None, w.high_start:w.high_start + w.high_length]
-        return lr_sub, hr_sub
+        return p.lr[None, w.start:w.start + w.length], select_high(p.hr, w)
 
     def d_term(p: PairedSample):
         lr_sub, hr_sub = windows(p)
@@ -273,10 +268,9 @@ def sr_save(state: SRState, path) -> None:
     write_store_checkpoint(path, state.store, header)
 
 
-def sr_load(path, state: SRState | None = None) -> SRState:
+def sr_load(path) -> SRState:
     header, body = read_checkpoint(path, "sr")
-    if state is None:
-        state = build_sr(SRConfig(**header["config"]), seed=0)
+    state = build_sr(stored_config(SRConfig, header["config"], {"sr_factor": 2}), seed=0)
     restore_store(state.store, header, body)
     state.step = header["step"]
     state.rng.bit_generator.state = header["rng_state"]

@@ -52,20 +52,7 @@ class GraphError(RuntimeError):
     """Backward called on a detached or non-scalar node."""
 
 
-class NonFiniteError(FloatingPointError):
-    """A forward op produced NaN or Inf."""
-
-
 DEFAULT_DTYPE = np.float32
-
-# Opt-in per-op finite checks (tests switch this on; the trainer checks
-# losses every step instead, which is cheap).
-_FINITE_CHECKS = False
-
-
-def set_finite_checks(on: bool) -> None:
-    global _FINITE_CHECKS
-    _FINITE_CHECKS = bool(on)
 
 
 # ---------------------------------------------------------------------------
@@ -256,14 +243,8 @@ class Tensor:
         return reshape(self, shape)
 
 
-def _finite_check(arr: np.ndarray, op: str) -> None:
-    if _FINITE_CHECKS and not np.all(np.isfinite(arr)):
-        raise NonFiniteError(f"non-finite values out of op '{op}'")
-
-
-def _make(data: np.ndarray, parents, bwd, op: str) -> Tensor:
+def _make(data: np.ndarray, parents, bwd) -> Tensor:
     """Create an op output, recording it on the tape when gradients flow."""
-    _finite_check(data, op)
     need = _tape.enabled and any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=need)
     if need:
@@ -316,7 +297,7 @@ def add(a: Tensor, b) -> Tensor:
             a.accumulate_grad(g)
         if b.requires_grad:
             b.accumulate_grad(g if b.data.shape == g.shape else g.sum())
-    return _make(a.data + b.data, (a, b), bwd, "add")
+    return _make(a.data + b.data, (a, b), bwd)
 
 
 def sub(a: Tensor, b) -> Tensor:
@@ -329,7 +310,7 @@ def sub(a: Tensor, b) -> Tensor:
             a.accumulate_grad(g)
         if b.requires_grad:
             b.accumulate_grad(-g if b.data.shape == g.shape else -g.sum())
-    return _make(a.data - b.data, (a, b), bwd, "sub")
+    return _make(a.data - b.data, (a, b), bwd)
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -344,13 +325,13 @@ def mul(a: Tensor, b) -> Tensor:
             if b.requires_grad:
                 gb = g * ad
                 b.accumulate_grad(gb if b.data.shape == g.shape else gb.sum())
-        return _make(ad * bd, (a, b), bwd, "mul")
+        return _make(ad * bd, (a, b), bwd)
     s = float(b)
 
     def bwd(g):
         if a.requires_grad:
             a.accumulate_grad(g * s)
-    return _make(a.data * s, (a,), bwd, "mul")
+    return _make(a.data * s, (a,), bwd)
 
 
 def square(a: Tensor) -> Tensor:
@@ -359,7 +340,7 @@ def square(a: Tensor) -> Tensor:
     def bwd(g):
         if a.requires_grad:
             a.accumulate_grad(2.0 * g * ad)
-    return _make(ad * ad, (a,), bwd, "square")
+    return _make(ad * ad, (a,), bwd)
 
 
 def tabs(a: Tensor) -> Tensor:
@@ -368,14 +349,14 @@ def tabs(a: Tensor) -> Tensor:
     def bwd(g):
         if a.requires_grad:
             a.accumulate_grad(g * np.sign(ad))
-    return _make(np.abs(ad), (a,), bwd, "abs")
+    return _make(np.abs(ad), (a,), bwd)
 
 
 def tsum(a: Tensor) -> Tensor:
     def bwd(g):
         if a.requires_grad:
             a.accumulate_grad(np.full_like(a.data, float(g)))
-    return _make(np.asarray(a.data.sum(), dtype=a.dtype), (a,), bwd, "sum")
+    return _make(np.asarray(a.data.sum(), dtype=a.dtype), (a,), bwd)
 
 
 def tmean(a: Tensor) -> Tensor:
@@ -384,7 +365,7 @@ def tmean(a: Tensor) -> Tensor:
     def bwd(g):
         if a.requires_grad:
             a.accumulate_grad(np.full_like(a.data, float(g) / n))
-    return _make(np.asarray(a.data.mean(), dtype=a.dtype), (a,), bwd, "mean")
+    return _make(np.asarray(a.data.mean(), dtype=a.dtype), (a,), bwd)
 
 
 def mean_axes(a: Tensor, axes, keepdims: bool = True) -> Tensor:
@@ -396,7 +377,7 @@ def mean_axes(a: Tensor, axes, keepdims: bool = True) -> Tensor:
         if a.requires_grad:
             gg = g if keepdims else np.expand_dims(g, axes)
             a.accumulate_grad(np.broadcast_to(gg / n, a.data.shape).copy())
-    return _make(out, (a,), bwd, "mean_axes")
+    return _make(out, (a,), bwd)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -405,7 +386,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     def bwd(g):
         if a.requires_grad:
             a.accumulate_grad(g.reshape(a.data.shape))
-    return _make(a.data.reshape(shape), (a,), bwd, "reshape")
+    return _make(a.data.reshape(shape), (a,), bwd)
 
 
 def concat(parts, axis: int = 0) -> Tensor:
@@ -427,7 +408,7 @@ def concat(parts, axis: int = 0) -> Tensor:
                 idx[axis] = slice(int(lo), int(hi))
                 p.accumulate_grad(g[tuple(idx)])
     return _make(np.concatenate([p.data for p in parts], axis=axis),
-                 tuple(parts), bwd, "concat")
+                 tuple(parts), bwd)
 
 
 def slice_axis(a: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -444,7 +425,7 @@ def slice_axis(a: Tensor, axis: int, start: int, length: int) -> Tensor:
             gx = np.zeros_like(a.data)
             gx[idx] = g
             a.accumulate_grad(gx)
-    return _make(a.data[idx].copy(), (a,), bwd, "slice")
+    return _make(a.data[idx].copy(), (a,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +438,7 @@ def relu(a: Tensor) -> Tensor:
     def bwd(g):
         if a.requires_grad:
             a.accumulate_grad(g * (ad > 0))
-    return _make(np.maximum(ad, 0), (a,), bwd, "relu")
+    return _make(np.maximum(ad, 0), (a,), bwd)
 
 
 def leaky_relu(a: Tensor, alpha: float = 0.2) -> Tensor:
@@ -466,7 +447,7 @@ def leaky_relu(a: Tensor, alpha: float = 0.2) -> Tensor:
     def bwd(g):
         if a.requires_grad:
             a.accumulate_grad(g * np.where(ad > 0, 1.0, alpha).astype(ad.dtype))
-    return _make(np.where(ad > 0, ad, alpha * ad), (a,), bwd, "leaky_relu")
+    return _make(np.where(ad > 0, ad, alpha * ad), (a,), bwd)
 
 
 def elu(a: Tensor, alpha: float = 1.0) -> Tensor:
@@ -477,7 +458,7 @@ def elu(a: Tensor, alpha: float = 1.0) -> Tensor:
     def bwd(g):
         if a.requires_grad:
             a.accumulate_grad(g * np.where(ad > 0, 1.0, neg + alpha).astype(ad.dtype))
-    return _make(out, (a,), bwd, "elu")
+    return _make(out, (a,), bwd)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -486,7 +467,7 @@ def tanh(a: Tensor) -> Tensor:
     def bwd(g):
         if a.requires_grad:
             a.accumulate_grad(g * (1.0 - out * out))
-    return _make(out, (a,), bwd, "tanh")
+    return _make(out, (a,), bwd)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -495,7 +476,7 @@ def sigmoid(a: Tensor) -> Tensor:
     def bwd(g):
         if a.requires_grad:
             a.accumulate_grad(g * out * (1.0 - out))
-    return _make(out, (a,), bwd, "sigmoid")
+    return _make(out, (a,), bwd)
 
 
 def softplus(a: Tensor) -> Tensor:
@@ -506,7 +487,7 @@ def softplus(a: Tensor) -> Tensor:
     def bwd(g):
         if a.requires_grad:
             a.accumulate_grad(g / (1.0 + np.exp(-ad)))
-    return _make(out, (a,), bwd, "softplus")
+    return _make(out, (a,), bwd)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -518,7 +499,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         if a.requires_grad:
             dot = (g * out).sum(axis=axis, keepdims=True)
             a.accumulate_grad((g - dot) * out)
-    return _make(out, (a,), bwd, "softmax")
+    return _make(out, (a,), bwd)
 
 
 ACTIVATIONS = {
@@ -555,7 +536,7 @@ def cross_entropy_logits(logits: Tensor, target: int) -> Tensor:
             p = np.exp(x - lse)
             p[target] -= 1.0
             logits.accumulate_grad((float(g) * p).reshape(logits.data.shape))
-    return _make(out, (logits,), bwd, "cross_entropy")
+    return _make(out, (logits,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +563,7 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         if x.requires_grad:
             gx = g2 @ w.data
             x.accumulate_grad(gx[0] if vec else gx)
-    return _make(out[0] if vec else out, (x, w, b), bwd, "dense")
+    return _make(out[0] if vec else out, (x, w, b), bwd)
 
 
 def _triple(v):
@@ -865,7 +846,7 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor, stride=1, pad=0) -> Tensor:
                 dst = gx[:, r[0]::stride[0], r[1]::stride[1], r[2]::stride[2]]
                 np.copyto(dst, gp[(slice(None),) + r + tuple(map(slice, dst.shape[1:]))])
             x.accumulate_grad(gx)
-    return _make(out, (x, w, b), bwd, "conv3d")
+    return _make(out, (x, w, b), bwd)
 
 
 def group_norm(x: Tensor, groups: int, gamma: Tensor, beta: Tensor,
@@ -914,7 +895,7 @@ def group_norm(x: Tensor, groups: int, gamma: Tensor, beta: Tensor,
             s2 = (gh * xhg).sum(axis=axes, keepdims=True)
             gx = inv / n_stat * (n_stat * gh - s1 - xhg * s2)
             x.accumulate_grad(np.ascontiguousarray(gx.reshape(c, d, h, w), dtype=xd.dtype))
-    return _make(np.ascontiguousarray(out, dtype=xd.dtype), (x, gamma, beta), bwd, "group_norm")
+    return _make(np.ascontiguousarray(out, dtype=xd.dtype), (x, gamma, beta), bwd)
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
@@ -947,7 +928,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
         if x.requires_grad:
             gx = g * (gamma.data * inv)[:, None, None, None]
             x.accumulate_grad(np.ascontiguousarray(gx, dtype=xd.dtype))
-    return _make(np.ascontiguousarray(out, dtype=xd.dtype), (x, gamma, beta), bwd, "batch_norm")
+    return _make(np.ascontiguousarray(out, dtype=xd.dtype), (x, gamma, beta), bwd)
 
 
 # -- trilinear interpolation -------------------------------------------------
@@ -1130,29 +1111,7 @@ def resize3d(x: Tensor, plans) -> Tensor:
     def bwd(g):
         if x.requires_grad:
             x.accumulate_grad(_interp(g, plans, (1, 2, 3), transpose=True))
-    return _make(out.astype(x.dtype, copy=False), (x,), bwd, "resize3d")
-
-
-def trilinear_interp(x: Tensor, scale, align_corners: bool = False) -> Tensor:
-    """Trilinear resampling by a positive rational scale.
-
-    ``scale * extent`` must be integral on every spatial axis. Constant
-    fields are preserved up to rounding (each pair of weights sums to one).
-    """
-    if x.data.ndim != 4:
-        raise ShapeError(f"trilinear_interp expects (C, D, H, W), got {x.shape}")
-    scale = float(scale)
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    plans = []
-    for ax in (1, 2, 3):
-        n = x.data.shape[ax]
-        target = n * scale
-        n_out = int(round(target))
-        if abs(target - n_out) > 1e-9 or n_out < 1:
-            raise ShapeError(f"scale {scale} gives non-integral extent for axis size {n}")
-        plans.append(interp_plan(n, n_out, align_corners, x.dtype))
-    return resize3d(x, plans)
+    return _make(out.astype(x.dtype, copy=False), (x,), bwd)
 
 
 # -- spectral normalization ---------------------------------------------------
@@ -1208,7 +1167,7 @@ def spectral_norm(w: Tensor, u: np.ndarray, power_iters: int = 1, update: bool =
         def bwd_id(g):
             if w.requires_grad:
                 w.accumulate_grad(g)
-        return _make(w.data.copy(), (w,), bwd_id, "spectral_norm"), u
+        return _make(w.data.copy(), (w,), bwd_id), u
     inv = 1.0 / sigma
     out = w.data * inv
     uv = np.outer(u_new, v).reshape(w.data.shape).astype(w.dtype)
@@ -1218,4 +1177,4 @@ def spectral_norm(w: Tensor, u: np.ndarray, power_iters: int = 1, update: bool =
         if w.requires_grad:
             coef = float((g * wbar).sum())
             w.accumulate_grad((g - coef * uv) * inv)
-    return _make(out.astype(w.dtype), (w,), bwd, "spectral_norm"), u
+    return _make(out.astype(w.dtype), (w,), bwd), u

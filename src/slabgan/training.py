@@ -34,7 +34,7 @@ import numpy as np
 
 from . import tensor as T
 from .geometry import (SliceWindow, check_volume, deterministic_windows, sample_r,
-                       select_low)
+                       select_high, select_low)
 from .networks import ModelSet, NetConfig, build_model_set
 from .optim import optimize
 from .tensor import Tensor, no_grad
@@ -127,14 +127,11 @@ def _sample_latent(state: TrainState, label: int | None) -> Tensor:
         Tensor(z.astype(state.store.params["g_a/dense/weight"].dtype)), label)
 
 
-def _generate_windowed(state: TrainState, z: Tensor, w: SliceWindow, training=True):
+def _generate_windowed(state: TrainState, z: Tensor, w: SliceWindow):
     """Fake low-res volume and fake high-res slab sharing one trunk pass."""
     nets = state.nets
-    a = nets.g_a(z, training)
-    fake_low = nets.g_l(a, training)
-    a_r = select_low(a, w)
-    fake_sub = nets.g_h(a_r, training)
-    return fake_low, fake_sub
+    a = nets.g_a(z)
+    return nets.g_l(a), nets.g_h(select_low(a, w))
 
 
 def _current_window(state: TrainState) -> SliceWindow:
@@ -151,7 +148,7 @@ def _current_window(state: TrainState) -> SliceWindow:
 def recon_slab_loss(state: TrainState, vol: np.ndarray, w: SliceWindow) -> Tensor:
     """L1 between a real high-res slab and its decode through the slab
     encoder; the caller freezes everything except e_h."""
-    sub = Tensor(select_high_np(vol, w))
+    sub = Tensor(select_high(vol, w))
     ahat_r = state.nets.e_h(sub)
     rec = state.nets.g_h(ahat_r)
     return l1_loss(rec, sub)
@@ -166,7 +163,7 @@ def recon_global_loss(state: TrainState, vol: np.ndarray, low: np.ndarray,
     rec_low = nets.g_l(a)
     rec_sub = nets.g_h(select_low(a, w))
     return T.add(l1_loss(rec_low, Tensor(low[None])),
-                 l1_loss(rec_sub, Tensor(select_high_np(vol, w))))
+                 l1_loss(rec_sub, Tensor(select_high(vol, w))))
 
 
 ALL_PHASES = ("d", "g", "eh", "eg")
@@ -275,7 +272,7 @@ def _alternate(state: TrainState, batch_high: list, labels: list, phases) -> dic
             z = _sample_latent(state, lab)
             fake_low, fake_sub = _generate_windowed(state, z, w)
         real_low = Tensor(low[None])
-        real_sub = Tensor(select_high_np(vol, w))
+        real_sub = Tensor(select_high(vol, w))
         lr_logit, lr_cls = nets.d_l(real_low)
         lf_logit, lf_cls = nets.d_l(fake_low)
         hr_logit, hr_cls = nets.d_h(real_sub)
@@ -323,14 +320,6 @@ def _alternate(state: TrainState, batch_high: list, labels: list, phases) -> dic
             batch_update(state.store, state.step, samples, term, weight, lr, report,
                          state.clip_norm)
     return report
-
-
-def select_high_np(vol: np.ndarray, w: SliceWindow) -> np.ndarray:
-    """High-resolution window of a raw (D, H, W) volume, as (1, d, H, W)."""
-    s, l = w.high_start, w.high_length
-    if s + l > vol.shape[0]:
-        raise T.ShapeError(f"window {w} out of bounds for volume depth {vol.shape[0]}")
-    return vol[None, s:s + l]
 
 
 def format_report(report: dict) -> str:
@@ -504,6 +493,25 @@ def _read_entries(buf: bytes):
         yield name, arr
 
 
+def stored_config(cls, config: dict, retired: dict):
+    """A ``cls`` config from a checkpoint header's ``config`` dict.
+
+    ``retired`` maps a setting that has since become a constant to that
+    constant: a file that stores it with this value loads, any other value
+    raises CheckpointError, as does a key ``cls`` does not know.
+    """
+    config = dict(config)
+    for key, value in retired.items():
+        got = config.pop(key, value)
+        if got != value:
+            raise CheckpointError(f"checkpoint config sets '{key}' = {got!r}; "
+                                  f"only {value!r} loads")
+    try:
+        return cls(**config)
+    except TypeError as e:
+        raise CheckpointError(f"checkpoint config does not fit {cls.__name__}: {e}") from None
+
+
 def load_checkpoint(path, state: TrainState | None = None) -> TrainState:
     """Restore a TrainState; verifies magic, version, checksum and shapes.
 
@@ -513,7 +521,7 @@ def load_checkpoint(path, state: TrainState | None = None) -> TrainState:
     """
     header, body = read_checkpoint(path, "hagan")
     if state is None:
-        cfg = NetConfig(**header["config"]).validate()
+        cfg = stored_config(NetConfig, header["config"], {"feature_channels": None}).validate()
         state = init_train_state(cfg, seed=0, weights=LossWeights(**header["weights"]))
         state.lr_g, state.lr_d, state.lr_e = header["lr"]
         state.batch_size = header["batch_size"]

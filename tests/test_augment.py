@@ -41,7 +41,7 @@ class TestClassifierTrain:
 
     def test_nan_weight_raises_and_changes_nothing(self):
         state = build_classifier_state(CFG32, seed=0)
-        state.store.params[state.store.names()[0]].data.flat[0] = np.nan
+        next(iter(state.store.params.values())).data.flat[0] = np.nan
         before = state.store.parameter_hash()
         rng_before = state.rng.bit_generator.state
         vols, labels = _data(2)

@@ -6,11 +6,9 @@ from scipy import stats
 
 from conftest import finite_difference, rel_err
 from slabgan import tensor as T
-from slabgan.geometry import (Partition, SliceWindow, concat_subvolumes,
-                              deterministic_windows, partition_volume,
-                              partition_windows, sample_r, select_high,
-                              select_low, split_volume)
-from slabgan.tensor import ShapeError, Tensor
+from slabgan.geometry import (SliceWindow, deterministic_windows, sample_r,
+                              select_high, select_low, split_volume)
+from slabgan.tensor import ShapeError, Tensor, concat
 
 
 class TestSelectLow:
@@ -54,11 +52,15 @@ class TestSelectHigh:
     def test_scaled_window(self):
         w = SliceWindow(12, 8, resolution_scale=4)
         assert (w.high_start, w.high_length) == (48, 32)
-        x = Tensor(np.arange(256, dtype=np.float64)[None, :, None, None]
-                   * np.ones((1, 256, 2, 2)))
-        out = select_high(x, w)
+        vol = np.arange(256, dtype=np.float64)[:, None, None] * np.ones((256, 2, 2))
+        out = select_high(vol, w)
         assert out.shape == (1, 32, 2, 2)
-        assert out.data[0, 0, 0, 0] == 48
+        assert out[0, 0, 0, 0] == 48
+        assert np.shares_memory(out, vol)       # a view, not a copy
+
+    def test_out_of_bounds(self):
+        with pytest.raises(ShapeError):
+            select_high(np.zeros((16, 2, 2)), SliceWindow(6, 4, resolution_scale=2))
 
     def test_reference_subvolume_extent(self):
         # 1/8 of a 256-deep volume at scale 4: a 32 x 256^2 slab
@@ -67,10 +69,9 @@ class TestSelectHigh:
 
     def test_degenerate_scale_one(self):
         rng = np.random.default_rng(3)
-        x = rng.standard_normal((1, 10, 2, 2))
+        x = rng.standard_normal((10, 2, 2))
         w = SliceWindow(3, 4, resolution_scale=1)
-        assert np.array_equal(select_high(Tensor(x), w).data,
-                              select_low(Tensor(x), w).data)
+        assert np.array_equal(select_high(x, w), select_low(Tensor(x[None]), w).data)
 
 
 class TestSampleR:
@@ -108,41 +109,45 @@ class TestSampleR:
             sample_r(8, 9, np.random.default_rng(0))
 
 
+def _depth_ramp(depth):
+    """A (1, depth, 1, 1) Tensor whose value is its depth index."""
+    return Tensor(np.arange(depth, dtype=np.float64)[None, :, None, None])
+
+
 class TestPartition:
     def test_reference_starts(self):
-        p = partition_volume(256, 8)
-        assert p.starts == tuple(range(0, 256, 32))
-        assert p.length == 32
+        parts = split_volume(_depth_ramp(256), 8)
+        assert [p.data[0, 0, 0, 0] for p in parts] == list(range(0, 256, 32))
+        assert all(p.shape == (1, 32, 1, 1) for p in parts)
 
     def test_single_window(self):
-        p = partition_volume(64, 1)
-        assert p.starts == (0,) and p.length == 64
+        x = _depth_ramp(64)
+        (part,) = split_volume(x, 1)
+        assert np.array_equal(part.data, x.data)
 
     def test_roundtrip_identity(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((2, 8, 3, 3))
         parts = split_volume(Tensor(x), 4)
-        rec = concat_subvolumes(parts)
+        rec = concat(parts, axis=1)
         assert np.array_equal(rec.data, x)
 
     def test_indivisible_depth(self):
         with pytest.raises(ShapeError):
-            partition_volume(10, 3)
+            split_volume(_depth_ramp(10), 3)
 
     def test_windows_disjoint_covering(self):
-        p = partition_volume(48, 6)
         covered = []
-        for w in partition_windows(p):
-            covered.extend(range(w.start, w.start + w.length))
-        assert sorted(covered) == list(range(48))
-        assert len(set(covered)) == len(covered)
+        for p in split_volume(_depth_ramp(48), 6):
+            covered.extend(p.data[0, :, 0, 0].astype(int))
+        assert covered == list(range(48))
 
 
 class TestConcat:
     def test_two_blocks(self):
         a = Tensor(np.zeros((1, 2, 2, 2)))
         b = Tensor(np.ones((1, 2, 2, 2)))
-        out = concat_subvolumes([a, b])
+        out = concat([a, b], axis=1)
         assert out.shape == (1, 4, 2, 2)
         assert np.all(out.data[:, :2] == 0) and np.all(out.data[:, 2:] == 1)
 
@@ -152,18 +157,17 @@ class TestConcat:
         b = rng.standard_normal((1, 3, 2, 2))
         at = Tensor(a.copy(), requires_grad=True)
         bt = Tensor(b.copy(), requires_grad=True)
-        T.backward(T.tsum(T.square(concat_subvolumes([at, bt]))))
+        T.backward(T.tsum(T.square(concat([at, bt], axis=1))))
 
         def fa(x):
-            return float(T.tsum(T.square(concat_subvolumes(
-                [Tensor(x), Tensor(b)]))).data)
+            return float(T.tsum(T.square(concat([Tensor(x), Tensor(b)], axis=1))).data)
         assert rel_err(at.grad, finite_difference(fa, a)) < 1e-4
         assert np.allclose(bt.grad, 2 * b)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            concat_subvolumes([Tensor(np.zeros((1, 2, 2, 2))),
-                               Tensor(np.zeros((2, 2, 2, 2)))])
+            concat([Tensor(np.zeros((1, 2, 2, 2))), Tensor(np.zeros((2, 2, 2, 2)))],
+                   axis=1)
 
 
 class TestSynchronizationInvariant:
@@ -179,7 +183,7 @@ class TestSynchronizationInvariant:
             for r in range(depth - length + 1):
                 w = SliceWindow(r, length, resolution_scale=scale)
                 low = select_low(Tensor(a), w).data
-                high = select_high(Tensor(up), w).data
+                high = select_high(up[0], w)
                 assert np.array_equal(high, np.repeat(low, scale, axis=1))
 
 

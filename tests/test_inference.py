@@ -9,7 +9,7 @@ from slabgan import tensor as T
 from slabgan.inference import (LatentCode, LatentDirection, encode_full,
                                fit_direction, generate_full, interpolate,
                                r_squared, reconstruct, ridge_fit,
-                               ridge_predict, solve_target, traverse)
+                               ridge_predict, traverse)
 from slabgan.networks import build_model_set, desk_config
 from slabgan.tensor import METER, ShapeError
 
@@ -116,11 +116,11 @@ class TestEncodeFull:
 
     def test_partition_roundtrip_invariance(self, nets):
         """Splitting and re-concatenating the volume leaves the code alone."""
-        from slabgan.geometry import concat_subvolumes, split_volume
-        from slabgan.tensor import Tensor, no_grad
+        from slabgan.geometry import split_volume
+        from slabgan.tensor import Tensor, concat, no_grad
         vol = np.random.default_rng(5).uniform(-1, 1, (64, 64, 64)).astype(np.float32)
         with no_grad():
-            rebuilt = concat_subvolumes(split_volume(Tensor(vol[None]), 8)).data
+            rebuilt = concat(split_volume(Tensor(vol[None]), 8), axis=1).data
         assert np.array_equal(encode_full(nets, vol).z, encode_full(nets, rebuilt).z)
 
     def test_indivisible_depth(self, nets):
@@ -246,15 +246,6 @@ class TestFitDirection:
             fit_direction(x, np.arange(10.0))
         d = fit_direction(x, np.arange(10.0), ridge_lambda=1e-3)
         assert np.isfinite(d.coef).all()
-
-    def test_solve_target_inverts_predictor(self):
-        rng = np.random.default_rng(14)
-        x = rng.standard_normal((50, 6))
-        beta = rng.standard_normal(6)
-        d = fit_direction(x, x @ beta)
-        z0 = rng.standard_normal(6)
-        t = solve_target(d, z0, target_value=5.0)
-        assert np.isclose(d.predict(z0 + t * d.w), 5.0, atol=1e-8)
 
     def test_traverse_returns_predictions(self, nets):
         rng = np.random.default_rng(15)

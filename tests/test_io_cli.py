@@ -12,7 +12,8 @@ from slabgan.cli import main
 from slabgan.config import (ConfigError, RunConfig, build_fingerprint,
                             load_run_config, parse_config_file)
 from slabgan.networks import desk_config
-from slabgan.training import init_train_state, save_checkpoint
+from slabgan.inference import reconstruct
+from slabgan.training import init_train_state, load_checkpoint, save_checkpoint
 from slabgan.volio import VolumeFormatError, volume_read, volume_write
 
 
@@ -64,6 +65,13 @@ class TestRunConfig:
         assert cfg.steps == 20                 # flag overrides file
         assert cfg.saturating_gan is True
         assert cfg.seed == 3
+
+    def test_retired_sr_factor_key_rejected(self, tmp_path):
+        """Super-resolution runs at factor 2 only; the old key is unknown."""
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("sr_factor = 2\n")
+        with pytest.raises(ConfigError, match="unknown key 'sr_factor'"):
+            parse_config_file(cfgfile)
 
     def test_unknown_key_rejected(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
@@ -168,6 +176,57 @@ class TestCLI:
 
 
 @pytest.mark.slow
+class TestReconstructConditional:
+    """``reconstruct`` with a class-conditional checkpoint decodes each volume
+    as the class ``labels.tsv`` in the input directory gives it."""
+
+    LABELS = {"a.hagv": 2, "b.hagv": 0, "c.hagv": 1}
+
+    @pytest.fixture
+    def setup(self, tmp_path):
+        cfg = desk_config(num_classes=3, full_resolution=32, latent_dim=16, base_channels=4)
+        ck = tmp_path / "checkpoint.bin"
+        save_checkpoint(init_train_state(cfg, seed=4), ck)
+        data = tmp_path / "data"
+        data.mkdir()
+        rng = np.random.default_rng(5)
+        for name in self.LABELS:
+            volume_write(data / name, rng.uniform(-1, 1, (32,) * 3).astype(np.float32))
+        return ck, data
+
+    @staticmethod
+    def _write_labels(data, labels):
+        with open(data / "labels.tsv", "w") as f:
+            f.write("name\tclass\n")
+            for name, c in labels.items():
+                f.write(f"{name}\t{c}\n")
+
+    def test_each_volume_decoded_with_its_label(self, setup, tmp_path):
+        ck, data = setup
+        self._write_labels(data, self.LABELS)
+        out = tmp_path / "rec"
+        assert main(["reconstruct", "--checkpoint", str(ck), "--in", str(data),
+                     "--out", str(out)]) == 0
+        nets = load_checkpoint(ck).nets
+        for name, c in self.LABELS.items():
+            expect = reconstruct(nets, volume_read(data / name), c=c)
+            got = volume_read(out / name.replace(".hagv", "_rec.hagv"))
+            assert np.array_equal(got, expect.reshape(got.shape))
+
+    def test_missing_labels_file_exit_1(self, setup, tmp_path, capsys):
+        ck, data = setup
+        assert main(["reconstruct", "--checkpoint", str(ck), "--in", str(data),
+                     "--out", str(tmp_path / "rec")]) == 1
+        assert "labels.tsv" in capsys.readouterr().err
+
+    def test_volume_missing_from_labels_exit_1(self, setup, tmp_path, capsys):
+        ck, data = setup
+        self._write_labels(data, {"a.hagv": 2, "b.hagv": 0})
+        assert main(["reconstruct", "--checkpoint", str(ck), "--in", str(data),
+                     "--out", str(tmp_path / "rec")]) == 1
+        assert "c.hagv" in capsys.readouterr().err
+
+
 class TestCLIPipeline:
     """Miniature end-to-end pass through the main subcommands."""
 

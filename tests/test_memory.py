@@ -78,6 +78,16 @@ class TestMeasured:
         m = measured_train_peak(DESK, "train_amortized", seed=0).peak_total
         assert abs(a - m) / m < 0.25
 
+    @pytest.mark.parametrize("res", [32, 64, 128])
+    def test_amortized_within_tenth_of_analytic_per_resolution(self, res):
+        """The replay follows the step as the volume grows: a replay that
+        kept the full-resolution input through phase eg's backward read 22%
+        high at 128^3."""
+        cfg = desk_config(full_resolution=res)
+        a = analytic_memory(cfg, "train_amortized").peak_total
+        m = measured_train_peak(cfg, "train_amortized", seed=0).peak_total
+        assert abs(a - m) / m < 0.10
+
     def test_full_within_quarter_of_analytic(self):
         a = analytic_memory(DESK, "train_full").peak_total
         m = measured_train_peak(DESK, "train_full", seed=0).peak_total

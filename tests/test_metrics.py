@@ -6,10 +6,8 @@ from scipy import stats as sps
 
 from slabgan.metrics import (DYNAMIC_RANGE, PSNR_MAX_DB, FeatureSet,
                              FingerprintMismatch, FixedExtractor, MetricReport,
-                             dice, frechet_distance, hu_window_map,
-                             hu_window_unmap, ks_test, median_bandwidth,
-                             mmd_permutation_test, mmd_rbf, nmse, pca_2d, psnr,
-                             ssim)
+                             dice, frechet_distance, hu_window_map, ks_test,
+                             median_bandwidth, mmd_rbf, nmse, pca_2d, psnr, ssim)
 from slabgan.tensor import ShapeError
 
 
@@ -87,11 +85,6 @@ class TestFrechet:
 
 
 class TestMMD:
-    def test_identical_samples_biased_zero(self):
-        rng = np.random.default_rng(6)
-        x = rng.standard_normal((30, 4))
-        assert abs(mmd_rbf(x, x.copy(), biased=True)) < 1e-12
-
     def test_separated_point_masses(self):
         a = np.zeros((20, 3))
         b = np.full((20, 3), 10.0)
@@ -104,18 +97,6 @@ class TestMMD:
         a = rng.standard_normal((n, 8))
         b = rng.standard_normal((n, 8))
         assert abs(mmd_rbf(a, b)) < 3.0 / np.sqrt(n)
-
-    def test_permutation_test_calibrated(self):
-        """Label-shuffled same-distribution data rarely looks significant."""
-        rng = np.random.default_rng(8)
-        hits = 0
-        trials = 20
-        for _ in range(trials):
-            a = rng.standard_normal((200, 4))
-            b = rng.standard_normal((200, 4))
-            p = mmd_permutation_test(a, b, n_permutations=100, rng=rng)
-            hits += p > 0.01
-        assert hits >= int(0.95 * trials)
 
     def test_median_bandwidth_positive(self):
         rng = np.random.default_rng(9)
@@ -230,11 +211,6 @@ class TestHUWindow:
 
     def test_midpoint(self):
         assert hu_window_map(np.array([-212.0]))[0] == pytest.approx(0.0)
-
-    def test_roundtrip_within_window(self):
-        hu = np.linspace(-1024, 600, 101)
-        back = hu_window_unmap(hu_window_map(hu))
-        assert np.allclose(back, hu, atol=1e-3)
 
     def test_clipping(self):
         assert hu_window_map(np.array([-2000.0]))[0] == -1.0

@@ -125,7 +125,7 @@ class TestDeskShapes:
         cfg = DESK
         eh_out = build_e_h(cfg).out_shape()
         assert eh_out[1] * cfg.n_windows == cfg.low_resolution
-        assert eh_out[0] == cfg.fc
+        assert eh_out[0] == cfg.base_channels
 
     def test_discriminators(self):
         assert build_d_l(DESK).out_shape() == (1,)
@@ -157,14 +157,14 @@ class TestConditional:
         class-conditioned input width and the class heads."""
         uncond = build_model_set(desk_config(), np.random.default_rng(0))
         cond = build_model_set(desk_config(num_classes=5), np.random.default_rng(0))
-        nu = set(uncond.store.names())
-        nc = set(cond.store.names())
+        nu = set(uncond.store.params)
+        nc = set(cond.store.params)
         extra = {n for n in nc - nu}
         assert all("/cls/" in n for n in extra)
         assert nu - nc == set()
         for name in nu:
-            su = uncond.store[name].data.shape
-            sc = cond.store[name].data.shape
+            su = uncond.store.params[name].data.shape
+            sc = cond.store.params[name].data.shape
             if name == "g_a/dense/weight":
                 assert sc[1] - su[1] == 5
             else:
@@ -213,7 +213,7 @@ class TestWindowFullConsistency:
         nets = build_model_set(cfg, np.random.default_rng(11))
         rng = np.random.default_rng(12)
         a = Tensor(rng.standard_normal(
-            (cfg.fc,) + (cfg.low_resolution,) * 3).astype(np.float32))
+            (cfg.base_channels,) + (cfg.low_resolution,) * 3).astype(np.float32))
         with no_grad():
             full = nets.g_h(a, training=False).data
         length = cfg.subvol_depth_low
@@ -234,7 +234,7 @@ class TestWindowFullConsistency:
         nets = build_model_set(cfg, np.random.default_rng(13))
         rng = np.random.default_rng(14)
         a = Tensor(rng.standard_normal(
-            (cfg.fc,) + (cfg.low_resolution,) * 3).astype(np.float32))
+            (cfg.base_channels,) + (cfg.low_resolution,) * 3).astype(np.float32))
         with no_grad():
             full = nets.g_h(a, training=False).data
         w = SliceWindow(4, cfg.subvol_depth_low, resolution_scale=4)

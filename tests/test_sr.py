@@ -14,7 +14,7 @@ from slabgan.sr import (SR_CONSISTENCY_MARGIN, PairedSample, SRConfig,
                         upsample2)
 from slabgan.tensor import ShapeError, Tensor, no_grad
 from slabgan.training import (CheckpointError, TrainingDiverged, init_train_state,
-                              save_checkpoint)
+                              read_checkpoint, save_checkpoint, write_store_checkpoint)
 
 
 CFG = SRConfig().validate()
@@ -88,14 +88,14 @@ class TestGenerator:
             if name.startswith("sr_g/res/"):
                 p.data[...] = rng.standard_normal(p.data.shape) * 0.2
         lr = rng.uniform(-1, 1, (1, 4, 8, 8))
-        names = [n for n in state.store.names() if n.startswith("sr_g/")]
-        tens = [state.store[n] for n in names]
+        names = [n for n in state.store.params if n.startswith("sr_g/")]
+        tens = [state.store.params[n] for n in names]
         state.store.train_only("sr_g/")
         out = state.gen(Tensor(lr))
         T.backward(T.tmean(T.square(out)))
         from conftest import finite_difference, rel_err
         for name in ("sr_g/res/conv/weight", "sr_g/head/conv/weight"):
-            p = state.store[name]
+            p = state.store.params[name]
             ana = p.grad.copy()
             base = p.data.copy()
 
@@ -115,7 +115,7 @@ class TestGenerator:
         state = build_sr(CFG, seed=10)
         rng = np.random.default_rng(11)
         # non-zero residual head so the branch contributes
-        w = state.store["sr_g/res/conv/weight"]
+        w = state.store.params["sr_g/res/conv/weight"]
         w.data[...] = rng.standard_normal(w.data.shape).astype(np.float32) * 0.1
         full_lr = rng.uniform(-1, 1, (1, 32, 32, 32)).astype(np.float32)
         with no_grad():
@@ -291,6 +291,24 @@ class TestSRCheckpointFaults:
         with pytest.raises(CheckpointError, match="magic"):
             sr_load(path)
 
+    @pytest.mark.parametrize("extra, loads", [({"sr_factor": 2}, True),
+                                              ({"sr_factor": 4}, False),
+                                              ({"bogus": 1}, False)])
+    def test_retired_config_key(self, sr_path, extra, loads):
+        """Older checkpoints store the retired ``sr_factor`` as 2; that loads,
+        while any other value or unknown key is a CheckpointError."""
+        state = sr_load(sr_path)
+        header, _ = read_checkpoint(sr_path, "sr")
+        header["config"].update(extra)
+        write_store_checkpoint(sr_path, state.store, header)
+        if not loads:
+            with pytest.raises(CheckpointError, match=next(iter(extra))):
+                sr_load(sr_path)
+            return
+        restored = sr_load(sr_path)
+        assert restored.cfg == state.cfg
+        assert restored.store.parameter_hash() == state.store.parameter_hash()
+
     def test_gan_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "gan.bin"
         cfg = desk_config(full_resolution=32, latent_dim=16, base_channels=4)
@@ -301,8 +319,11 @@ class TestSRCheckpointFaults:
 
 class TestSRConfigValidation:
     def test_only_factor_two(self):
-        with pytest.raises(ValueError):
-            SRConfig(sr_factor=4).validate()
+        """The factor is fixed at 2: the LR grid is half the HR grid, and no
+        config field can ask for another."""
+        assert SRConfig(hr_resolution=64).validate().lr_resolution == 32
+        with pytest.raises(TypeError):
+            SRConfig(sr_factor=4)
 
     def test_subvol_len_bounds(self):
         with pytest.raises(ValueError):

@@ -16,8 +16,9 @@ from conftest import (conv3d_direct, finite_difference, gradcheck, interp_matrix
                       resample_dense)
 from slabgan import tensor as T
 from slabgan import optim
+from slabgan.layers import Interp
 from slabgan.optim import ParamStore, adam_step, optimize
-from slabgan.tensor import GraphError, NonFiniteError, ShapeError, Tensor
+from slabgan.tensor import GraphError, ShapeError, Tensor
 
 
 class TestConv3d:
@@ -307,33 +308,39 @@ class TestConv3dChunked:
         assert peak < 24 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MB"
 
 
+def _resize(x: Tensor, extents, align_corners: bool = False) -> Tensor:
+    """``resize3d`` of a (C, D, H, W) tensor to ``extents``, one plan per axis."""
+    return T.resize3d(x, [T.interp_plan(n, m, align_corners, x.dtype)
+                          for n, m in zip(x.shape[1:], extents)])
+
+
 class TestInterp:
     def test_constant_preserved(self):
         x = Tensor(np.full((2, 4, 4, 4), 0.7))
-        out = T.trilinear_interp(x, 2.0, align_corners=False)
+        out = _resize(x, (8, 8, 8))
         assert out.shape == (2, 8, 8, 8)
         assert np.allclose(out.data, 0.7)
 
     def test_linear_ramp_exact_align_corners(self):
         d = 5
         ramp = np.linspace(0.0, 1.0, d)[None, :, None, None] * np.ones((1, d, 3, 3))
-        out = T.trilinear_interp(Tensor(ramp), 2.0, align_corners=True)
+        out = _resize(Tensor(ramp), (2 * d, 6, 6), align_corners=True)
         # corners align, so the finer grid carries the exact linear ramp
         expect = np.linspace(0.0, 1.0, 2 * d)
         assert np.allclose(out.data[0, :, 1, 1], expect, atol=1e-12)
 
     def test_scale_doubles_64(self):
-        out = T.trilinear_interp(Tensor(np.zeros((1, 64, 64, 64), np.float32)), 2.0)
+        out = Interp(2.0).forward(Tensor(np.zeros((1, 64, 64, 64), np.float32)), False)
         assert out.shape == (1, 128, 128, 128)
 
     def test_non_integral_scale_rejected(self):
         with pytest.raises(ShapeError):
-            T.trilinear_interp(Tensor(np.zeros((1, 5, 5, 5))), 0.5)
+            Interp(0.5).forward(Tensor(np.zeros((1, 5, 5, 5))), False)
 
     def test_half_scale_is_box_average(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((1, 4, 4, 4))
-        out = T.trilinear_interp(Tensor(x), 0.5, align_corners=False).data
+        out = _resize(Tensor(x), (2, 2, 2)).data
         manual = x.reshape(1, 2, 2, 2, 2, 2, 2).mean(axis=(2, 4, 6))
         assert np.allclose(out, manual, atol=1e-12)
 
@@ -342,7 +349,7 @@ class TestInterp:
         x = np.random.default_rng(2).standard_normal((2, 4, 6, 8)).astype(dtype)
         out = T.resample(x, (8, 12, 16))
         assert out.dtype == dtype
-        assert np.array_equal(out, T.trilinear_interp(Tensor(x), 2.0).data)
+        assert np.array_equal(out, _resize(Tensor(x), (8, 12, 16)).data)
 
     def test_resample_three_axis_input(self):
         x = np.random.default_rng(3).standard_normal((8, 6, 4)).astype(np.float32)
@@ -609,14 +616,6 @@ class TestBackward:
         T.backward(T.tsum(T.mul(x, w)))
         assert x.grad is not None and w.grad is None
 
-    def test_finite_check_flag(self):
-        T.set_finite_checks(True)
-        try:
-            with pytest.raises(NonFiniteError):
-                T.tmean(T.tabs(Tensor(np.array([np.inf, 1.0]))))
-        finally:
-            T.set_finite_checks(False)
-
 
 class TestDeterminism:
     def test_conv_bitwise_repeatable(self):
@@ -720,7 +719,7 @@ class TestParamStore:
                 [sys.executable, "-c", _STORE_CODE + "print(store.parameter_hash())"],
                 env=env, capture_output=True, text=True, check=True)
             assert proc.stdout.strip() == here
-        ns["store"]["net/b"].data[0] = 1.0
+        ns["store"].params["net/b"].data[0] = 1.0
         assert ns["store"].parameter_hash() != here
         assert ns["store"].parameter_hash("net/a") != ns["store"].parameter_hash()
 
@@ -748,9 +747,9 @@ class TestFiniteDifferencePrimitives:
                                          lambda x, ga, be: T.tsum(T.square(
                                              T.group_norm(x, 2, ga, be, per_depth_slice=True))))),
         ("interp", lambda g: ([g.standard_normal((2, 4, 4, 4))],
-                              lambda x: T.tsum(T.square(T.trilinear_interp(x, 2.0))))),
+                              lambda x: T.tsum(T.square(_resize(x, (8, 8, 8)))))),
         ("interp_down", lambda g: ([g.standard_normal((2, 4, 4, 4))],
-                                   lambda x: T.tsum(T.square(T.trilinear_interp(x, 0.5))))),
+                                   lambda x: T.tsum(T.square(_resize(x, (2, 2, 2)))))),
         ("softmax", lambda g: ([g.standard_normal((2, 5))],
                                lambda x: T.tmean(T.square(T.softmax(x, axis=-1))))),
         ("softplus", lambda g: ([g.standard_normal(7)],

@@ -17,8 +17,8 @@ from slabgan.training import (CheckpointError, LossWeights, TrainingDiverged,
                               _only_trainable, batch_update, class_loss, downsample_volume,
                               format_report, gan_d_loss, gan_g_loss,
                               init_train_state, l1_loss, load_checkpoint,
-                              recon_global_loss, recon_slab_loss,
-                              save_checkpoint, select_high_np, train_step)
+                              read_checkpoint, recon_global_loss, recon_slab_loss,
+                              save_checkpoint, train_step, write_store_checkpoint)
 
 LOG2 = float(np.log(2.0))
 
@@ -228,8 +228,8 @@ class TestBatchUpdate:
         store = self.toy_store()
 
         def term(a):
-            return T.tsum(T.mul(store["p"], Tensor(a))), {"first": float(a[0]),
-                                                          "sum": float(a.sum())}
+            return T.tsum(T.mul(store.params["p"], Tensor(a))), {"first": float(a[0]),
+                                                                 "sum": float(a.sum())}
         report = {"step": 3}
         batch_update(store, 3, self.ITEMS, term, 5.0, 1e-3, report)
         assert report == {"step": 3, "first": (1.0 - 4.0 + 2.0) / 3,
@@ -240,14 +240,14 @@ class TestBatchUpdate:
 
     def test_non_finite_log_value_blocks_update(self):
         store = self.toy_store()
-        before = store["p"].data.copy()
+        before = store.params["p"].data.copy()
 
         def term(a):
-            return T.tsum(T.mul(store["p"], Tensor(a))), {"v": float("nan")}
+            return T.tsum(T.mul(store.params["p"], Tensor(a))), {"v": float("nan")}
         with pytest.raises(TrainingDiverged) as exc:
             batch_update(store, 9, self.ITEMS, term, 1.0, 1e-3, {})
         assert exc.value.step == 9
-        assert np.array_equal(store["p"].data, before) and not store.adam_state
+        assert np.array_equal(store.params["p"].data, before) and not store.adam_state
 
 
 class TestTrainStep:
@@ -412,8 +412,8 @@ class TestCheckpoint:
         restored = load_checkpoint(path)
         resumed = format_report(train_step(restored, vols))
         assert direct == resumed
-        for name in state.store.names():
-            assert np.array_equal(state.store[name].data, restored.store[name].data)
+        for name, p in state.store.params.items():
+            assert np.array_equal(p.data, restored.store.params[name].data)
 
     def test_resume_keeps_gradient_clipping(self, tmp_path):
         state, vols = self._state_and_batch(38)
@@ -453,6 +453,27 @@ class TestCheckpoint:
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match="checksum"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("extra, loads", [({"feature_channels": None}, True),
+                                              ({"feature_channels": 8}, False),
+                                              ({"bogus": 1}, False)])
+    def test_retired_config_key(self, tmp_path, extra, loads):
+        """Older checkpoints store the retired ``feature_channels`` field as
+        null; that loads, while any other value or unknown key is a
+        CheckpointError."""
+        state, _ = self._state_and_batch(32)
+        path = tmp_path / "ck.bin"
+        save_checkpoint(state, path)
+        header, _ = read_checkpoint(path, "hagan")
+        header["config"].update(extra)
+        write_store_checkpoint(path, state.store, header)
+        if not loads:
+            with pytest.raises(CheckpointError, match=next(iter(extra))):
+                load_checkpoint(path)
+            return
+        restored = load_checkpoint(path)
+        assert restored.cfg == state.cfg
+        assert restored.store.parameter_hash() == state.store.parameter_hash()
 
     def test_sr_checkpoint_rejected(self, tmp_path):
         from slabgan.sr import SRConfig, build_sr, sr_save
