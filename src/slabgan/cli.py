@@ -104,21 +104,24 @@ def _read_labels(path):
 
 
 def cmd_phantoms(args) -> int:
-    from .phantoms import phantom_dataset
+    """Write the dataset one phantom at a time, so only one volume is held."""
+    from .phantoms import N_CLASSES, phantom_generate
     cfg = _run_config(args)
+    if cfg.n_phantoms < 1:
+        raise UsageError(f"--n-phantoms must be at least 1, got {cfg.n_phantoms}")
     out = _ensure_out(cfg)
-    vols, labels, records = phantom_dataset(cfg.n_phantoms,
-                                            extents=(cfg.full_resolution,) * 3,
-                                            base_seed=args.seed)
+    extents = (cfg.full_resolution,) * 3
     with open(os.path.join(out, "labels.tsv"), "w") as f:
         f.write("name\tclass\tbody\torgan\tlesions\torgan_factor\tlesion_count\n")
-        for i, (v, y, ph) in enumerate(zip(vols, labels, records)):
+        for i in range(cfg.n_phantoms):
+            y = i % N_CLASSES
+            ph, v = phantom_generate(args.seed + i, y, extents)
             name = f"phantom_{i:04d}.hagv"
             volume_write(os.path.join(out, name), v)
             f.write(f"{name}\t{y}\t{ph.volumes['body']}\t{ph.volumes['organ']}\t"
                     f"{ph.volumes['lesions']}\t{ph.organ_factor:.6f}\t{ph.lesion_count}\n")
-    write_manifest(out, cfg, {"n_volumes": int(len(vols))})
-    print(f"wrote {len(vols)} phantoms to {out}")
+    write_manifest(out, cfg, {"n_volumes": int(cfg.n_phantoms)})
+    print(f"wrote {cfg.n_phantoms} phantoms to {out}")
     return 0
 
 

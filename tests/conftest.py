@@ -104,3 +104,48 @@ def resample_dense(arr: np.ndarray, extents, align_corners: bool = False) -> np.
         m = interp_matrix(out.shape[ax], n, align_corners, dtype=arr.dtype)
         out = np.moveaxis(np.tensordot(m, out, axes=(1, ax)), 0, ax)
     return out
+
+
+def ellipsoid_mask_direct(extents, center, semi_axes) -> np.ndarray:
+    """Whole-grid ellipsoid mask from three meshgrid copies; the oracle for
+    the box-clipped masks of ``slabgan.phantoms``."""
+    grids = np.meshgrid(*[np.linspace(-1.0, 1.0, e) for e in extents], indexing="ij")
+    acc = np.zeros(extents, dtype=np.float64)
+    for g, c, a in zip(grids, center, semi_axes):
+        acc += ((g - c) / a) ** 2
+    return acc <= 1.0
+
+
+def phantom_direct(seed: int, class_label: int, extents):
+    """One phantom composed in float64 over whole-grid masks, then clipped
+    and cast as a whole; the oracle for ``phantom_generate``.
+
+    Returns (masks, voxel counts, organ factor, lesion count, volume).
+    """
+    from slabgan.phantoms import _smooth_noise
+    rng = np.random.default_rng(np.random.SeedSequence([seed, class_label]))
+    body_axes = rng.uniform(0.58, 0.68, size=3)
+    body_center = rng.uniform(-0.06, 0.06, size=3)
+    body = ellipsoid_mask_direct(extents, body_center, body_axes)
+    organ_factor = float(rng.uniform(0.25, 0.50))
+    organ_axes = organ_factor * rng.uniform(0.9, 1.1, size=3)
+    organ_center = body_center + rng.uniform(-0.08, 0.08, size=3)
+    organ = ellipsoid_mask_direct(extents, organ_center, organ_axes) & body
+
+    vol = np.full(extents, -1.0, dtype=np.float64)
+    texture = _smooth_noise(rng, extents) * 0.06
+    vol[body] = -0.10 + texture[body]
+    vol[organ] = 0.70
+
+    lesion_count = 2 * class_label + int(rng.integers(0, 2))
+    lesions = np.zeros(extents, dtype=bool)
+    for _ in range(lesion_count):
+        center = body_center + rng.uniform(-0.5, 0.5, size=3) * body_axes
+        radius = rng.uniform(0.05, 0.07 + 0.015 * class_label)
+        lesions |= ellipsoid_mask_direct(extents, center, (radius,) * 3)
+    lesions &= body
+    vol[lesions] = -0.85
+
+    masks = {"body": body, "organ": organ, "lesions": lesions}
+    counts = {k: int(m.sum()) for k, m in masks.items()}
+    return masks, counts, organ_factor, lesion_count, np.clip(vol, -1.0, 1.0).astype(np.float32)

@@ -162,6 +162,25 @@ class TestCLI:
         v = volume_read(out / vols[0])
         assert v.shape == (32, 32, 32)
 
+    def test_phantoms_stream_equals_dataset(self, tmp_path):
+        """The streamed files are byte-identical to phantom_dataset's output."""
+        from slabgan.phantoms import phantom_dataset
+        out = tmp_path / "ph"
+        assert main(["phantoms", "--n", "6", "--seed", "9", "--resolution", "16",
+                     "--out", str(out)]) == 0
+        vols, labels, recs = phantom_dataset(6, extents=(16, 16, 16), base_seed=9)
+        rows = ["name\tclass\tbody\torgan\tlesions\torgan_factor\tlesion_count"]
+        for i, (v, y, ph) in enumerate(zip(vols, labels, recs)):
+            name = f"phantom_{i:04d}.hagv"
+            volume_write(tmp_path / "ref.hagv", v)
+            assert (out / name).read_bytes() == (tmp_path / "ref.hagv").read_bytes()
+            rows.append(f"{name}\t{y}\t{ph.volumes['body']}\t{ph.volumes['organ']}\t"
+                        f"{ph.volumes['lesions']}\t{ph.organ_factor:.6f}\t{ph.lesion_count}")
+        assert (out / "labels.tsv").read_text() == "\n".join(rows) + "\n"
+
+    def test_phantoms_empty_dataset_is_usage_error(self, tmp_path):
+        assert main(["phantoms", "--n", "0", "--seed", "1", "--out", str(tmp_path / "ph")]) == 1
+
     def test_memsim_emits_report(self, capsys):
         rc = main(["memsim", "--resolution", "64", "--multiplier", "0.125"])
         assert rc == 0

@@ -1,9 +1,12 @@
 """Phantom generator: determinism, class structure, recorded ground truth."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from conftest import ellipsoid_mask_direct, phantom_direct
 
-from slabgan.phantoms import N_CLASSES, phantom_dataset, phantom_generate
+from slabgan.phantoms import N_CLASSES, _ellipsoid_mask, phantom_dataset, phantom_generate
 
 
 class TestDeterminism:
@@ -80,3 +83,73 @@ class TestDataset:
         a, _, _ = phantom_dataset(3, extents=(16, 16, 16), base_seed=2)
         b, _, _ = phantom_dataset(3, extents=(16, 16, 16), base_seed=2)
         assert np.array_equal(a, b)
+
+
+class TestOracle:
+    """Box-clipped masks and float32 composition give the whole-grid float64
+    oracle's bits."""
+
+    @pytest.mark.parametrize("extents", [(16, 16, 16), (24, 24, 24), (16, 24, 40),
+                                         (64, 64, 64)])
+    def test_bitwise_equal_to_direct(self, extents):
+        seeds = range(2) if max(extents) == 64 else range(6)
+        for seed in seeds:
+            for cls in range(N_CLASSES):
+                ph, vol = phantom_generate(seed, cls, extents)
+                masks, counts, organ_factor, lesion_count, ref = phantom_direct(seed, cls,
+                                                                                extents)
+                assert vol.dtype == np.float32 and np.array_equal(vol, ref)
+                assert ph.masks.keys() == masks.keys()
+                for key, mask in masks.items():
+                    assert np.array_equal(ph.masks[key], mask), (seed, cls, key)
+                assert ph.volumes == counts
+                assert (ph.organ_factor, ph.lesion_count) == (organ_factor, lesion_count)
+
+    @pytest.mark.parametrize("center, axes", [
+        ((0.9, -0.95, 0.3), (0.3, 0.25, 0.2)),    # clipped by the grid on two axes
+        ((-1.0, 1.0, -1.0), (0.05, 0.05, 0.05)),  # a corner octant only
+        ((0.0, 1.5, 0.0), (0.4, 0.4, 0.4)),       # wholly outside along one axis
+        ((3.0, 3.0, 3.0), (0.5, 0.5, 0.5)),       # wholly outside: empty box
+    ])
+    def test_ellipsoid_mask_clipped_and_empty(self, center, axes):
+        extents = (16, 24, 40)
+        mask = _ellipsoid_mask(extents, np.asarray(center), np.asarray(axes))
+        assert np.array_equal(mask, ellipsoid_mask_direct(extents, center, axes))
+
+    def test_dataset_equals_generate(self):
+        vols, labels, recs = phantom_dataset(7, extents=(16, 24, 40), base_seed=11)
+        for i, (v, y, rec) in enumerate(zip(vols, labels, recs)):
+            ph, ref = phantom_generate(11 + i, int(y), (16, 24, 40))
+            assert np.array_equal(v, ref)
+            assert rec.masks == {}
+            assert (rec.volumes, rec.organ_factor, rec.lesion_count) == \
+                (ph.volumes, ph.organ_factor, ph.lesion_count)
+
+
+class TestWorkspace:
+    @staticmethod
+    def _workspace(n, extents):
+        """tracemalloc peak of phantom_dataset above its output's bytes."""
+        tracemalloc.start()
+        try:
+            vols, _, _ = phantom_dataset(n, extents=extents, base_seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - vols.nbytes
+
+    def test_bounded_and_independent_of_n(self):
+        extents = (64, 64, 64)
+        phantom_dataset(1, extents=extents)  # resampling plans are cached on first use
+        one, four = self._workspace(1, extents), self._workspace(4, extents)
+        f64_volume = 8 * 64 ** 3
+        assert one <= 2 * f64_volume and four <= 2 * f64_volume
+        # the peak phantom's body size sets the workspace; keeping even one
+        # boolean mask per extra phantom would add three 64^3 masks
+        assert four - one < 64 ** 3
+
+
+class TestDatasetValidation:
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            phantom_dataset(0, extents=(16, 16, 16))
