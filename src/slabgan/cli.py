@@ -120,7 +120,7 @@ def cmd_phantoms(args) -> int:
             volume_write(os.path.join(out, name), v)
             f.write(f"{name}\t{y}\t{ph.volumes['body']}\t{ph.volumes['organ']}\t"
                     f"{ph.volumes['lesions']}\t{ph.organ_factor:.6f}\t{ph.lesion_count}\n")
-    write_manifest(out, cfg, {"n_volumes": int(cfg.n_phantoms)})
+    write_manifest(out, cfg, {"n_volumes": cfg.n_phantoms})
     print(f"wrote {cfg.n_phantoms} phantoms to {out}")
     return 0
 

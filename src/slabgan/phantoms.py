@@ -121,7 +121,7 @@ def _phantom_into(seed: int, class_label: int, extents: tuple, out: np.ndarray):
     out[lesions] = -0.85
 
     masks = {"body": body, "organ": organ, "lesions": lesions}
-    volumes = {k: int(np.count_nonzero(m)) for k, m in masks.items()}
+    volumes = {k: int(m.sum()) for k, m in masks.items()}
     ph = Phantom(seed=seed, class_label=class_label, volumes=volumes,
                  organ_factor=organ_factor, lesion_count=lesion_count)
     return ph, masks

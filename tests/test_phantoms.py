@@ -68,6 +68,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             phantom_generate(0, 5, (32, 32, 32))
 
+    def test_empty_dataset(self):
+        with pytest.raises(ValueError):
+            phantom_dataset(0, extents=(16, 16, 16))
+
 
 class TestDataset:
     def test_balanced_labels(self):
@@ -147,9 +151,3 @@ class TestWorkspace:
         # the peak phantom's body size sets the workspace; keeping even one
         # boolean mask per extra phantom would add three 64^3 masks
         assert four - one < 64 ** 3
-
-
-class TestDatasetValidation:
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            phantom_dataset(0, extents=(16, 16, 16))
