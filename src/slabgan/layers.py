@@ -144,6 +144,38 @@ class Conv3d(Layer):
         return T.conv3d(x, w, self.b, stride=self.stride, pad=self.pad)
 
 
+class UpConv3d(Conv3d):
+    """``Interp(2.0)`` then a 3^3, stride-1, pad-1 ``Conv3d``, as one layer.
+
+    Without a gradient tape the upsampled input is never built:
+    ``conv3d(..., upsample=True)`` correlates the input with the kernel's
+    eight phase kernels on its own grid. Taped, it builds the upsample and
+    keeps it for backward, as the two layers did. The parameters are the
+    conv's, under the conv's name, so a network that folds its upsamples
+    keeps its parameter names and checkpoints.
+    """
+
+    SUFFIX = " after x2 Interpolation"
+
+    def __init__(self, c_in: int, c_out: int, zero_init: bool = False):
+        super().__init__(c_in, c_out, 3, stride=1, pad=1, zero_init=zero_init)
+
+    @staticmethod
+    def up_shape(in_shape):
+        """The shape of the x2 upsampled input the conv reads."""
+        c, d, h, w = in_shape
+        return (c, 2 * d, 2 * h, 2 * w)
+
+    def out_shape(self, in_shape):
+        return super().out_shape(self.up_shape(in_shape))
+
+    def describe(self):
+        return super().describe() + self.SUFFIX
+
+    def forward(self, x, training):
+        return T.conv3d(x, self.w, self.b, stride=1, pad=1, upsample=True)
+
+
 class GroupNorm(Layer):
     def __init__(self, channels: int, per_depth_slice: bool = False):
         self.channels = channels

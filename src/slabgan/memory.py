@@ -44,6 +44,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from .layers import UpConv3d
 from .networks import NetConfig, symbolic_model_set, parameter_count
 from .tensor import METER, LiveSet
 
@@ -86,8 +87,17 @@ def _nbytes(shape) -> int:
     return int(np.prod(shape)) * _ITEM
 
 
-def _rows_bytes(net, in_shape=None):
-    return [_nbytes(shape) for _, _, shape in net.shapes(in_shape)]
+def _rows_bytes(net, in_shape=None, taped: bool = False):
+    """Payload bytes of each listing row's output. A taped x2 upsample-conv
+    row (``UpConv3d``) also holds its upsampled input, which it keeps on
+    the tape for backward; without a tape it builds none."""
+    rows, prev = [], tuple(in_shape or net.in_shape)
+    for _, desc, shape in net.shapes(in_shape):
+        if taped and desc.endswith(UpConv3d.SUFFIX):
+            rows.append(_nbytes(UpConv3d.up_shape(prev)))
+        rows.append(_nbytes(shape))
+        prev = shape
+    return rows
 
 
 def _fwd_taped(sim: LiveSet, row_bytes, tape: list):
@@ -143,7 +153,7 @@ def high_res_branch_bytes(cfg: NetConfig) -> int:
     multiplier by construction: every counted extent scales with it."""
     nets = symbolic_model_set(cfg)
     a_win, x_win = _win_shapes(cfg)
-    total = sum(_rows_bytes(nets["g_h"], a_win))
+    total = sum(_rows_bytes(nets["g_h"], a_win, taped=True))
     total += sum(_rows_bytes(nets["e_h"], x_win))
     for _, desc, shape in nets["d_h"].trunk.shapes(x_win):
         if desc == "AvgPool":
@@ -195,9 +205,10 @@ def analytic_memory(cfg: NetConfig, mode: str, batch_size: int = 2) -> MemoryRep
     eh_b = _group_bytes(nets, ("e_h",))
     eg_b = _group_bytes(nets, ("e_g",))
 
-    ga_rows = _rows_bytes(nets["g_a"])
+    ga_rows, ga_taped = _rows_bytes(nets["g_a"]), _rows_bytes(nets["g_a"], taped=True)
     gl_rows = _rows_bytes(nets["g_l"])
     gh_win_rows = _rows_bytes(nets["g_h"], a_win)
+    gh_win_taped = _rows_bytes(nets["g_h"], a_win, taped=True)
     dl_rows = _rows_bytes(nets["d_l"])
     dh_rows = _rows_bytes(nets["d_h"], x_win)
     eh_rows = _rows_bytes(nets["e_h"], x_win)
@@ -227,10 +238,10 @@ def analytic_memory(cfg: NetConfig, mode: str, batch_size: int = 2) -> MemoryRep
 
     # phase 2: generators ----------------------------------------------------
     for _ in range(batch_size):
-        _fwd_taped(sim, ga_rows, tape)
+        _fwd_taped(sim, ga_taped, tape)
         _fwd_taped(sim, gl_rows, tape)
         tape.append(sim.add(_nbytes(a_win)))
-        _fwd_taped(sim, gh_win_rows, tape)
+        _fwd_taped(sim, gh_win_taped, tape)
         _fwd_taped(sim, dl_rows, tape)
         _fwd_taped(sim, dh_rows, tape)
     _backward(sim, tape, g_b)
@@ -240,7 +251,7 @@ def analytic_memory(cfg: NetConfig, mode: str, batch_size: int = 2) -> MemoryRep
     for _ in range(batch_size):
         kept.append(sim.add(_nbytes(x_win)))          # real sub
         _fwd_taped(sim, eh_rows, tape)
-        _fwd_taped(sim, gh_win_rows, tape)
+        _fwd_taped(sim, gh_win_taped, tape)
     _backward(sim, tape, eh_b)
     for b in kept:
         sim.add(-b)
@@ -263,10 +274,10 @@ def analytic_memory(cfg: NetConfig, mode: str, batch_size: int = 2) -> MemoryRep
         sim.add(-xb)
         kept.append(ahat)
         _fwd_taped(sim, eg_rows, tape)
-        _fwd_taped(sim, ga_rows, tape)
+        _fwd_taped(sim, ga_taped, tape)
         _fwd_taped(sim, gl_rows, tape)
         tape.append(sim.add(_nbytes(a_win)))
-        _fwd_taped(sim, gh_win_rows, tape)
+        _fwd_taped(sim, gh_win_taped, tape)
         kept.append(sim.add(_nbytes(x_low)))           # recon targets
         kept.append(sim.add(_nbytes(x_win)))
     _backward(sim, tape, eg_b)

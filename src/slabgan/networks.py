@@ -28,8 +28,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import split_volume
-from .layers import (Act, BatchNorm, Conv3d, Dense, Flatten, GroupNorm, Interp,
-                     MeanPool, Reshape, Sequential)
+from .layers import (Act, BatchNorm, Conv3d, Dense, Flatten, GroupNorm, MeanPool,
+                     Reshape, Sequential, UpConv3d)
 from .optim import ParamStore
 from .tensor import ShapeError, Tensor, concat, no_grad
 
@@ -120,8 +120,9 @@ def build_g_a(cfg: NetConfig) -> Sequential:
     """Shared generator trunk: latent (+ one-hot class) -> feature volume A.
 
     Dense to a 4^3 seed, then a fixed-length conv ladder; the last
-    log2(low/4) blocks interleave x2 upsampling so the trunk ends at the
-    low resolution with ``base_channels`` channels.
+    log2(low/4) convs each read the x2 upsample of the previous block
+    (``UpConv3d``, which never builds the upsampled tensor), so the trunk
+    ends at the low resolution with ``base_channels`` channels.
     """
     cfg.validate()
     fc, cap = cfg.base_channels, _c(8 * cfg.base_channels)
@@ -132,11 +133,12 @@ def build_g_a(cfg: NetConfig) -> Sequential:
               ("seed", Reshape((chans[0], 4, 4, 4)))]
     c_prev = chans[0]
     for j in range(_TRUNK_STAGES):
-        layers.append((f"conv{j}", Conv3d(c_prev, chans[j], 3, stride=1, pad=1)))
+        if j >= _TRUNK_STAGES - n_up:
+            layers.append((f"conv{j}", UpConv3d(c_prev, chans[j])))
+        else:
+            layers.append((f"conv{j}", Conv3d(c_prev, chans[j], 3, stride=1, pad=1)))
         layers.append((f"norm{j}", GroupNorm(chans[j])))
         layers.append((f"act{j}", Act("relu")))
-        if _TRUNK_STAGES - 1 - n_up <= j <= _TRUNK_STAGES - 2:
-            layers.append((f"up{j}", Interp(2.0)))
         c_prev = chans[j]
     net = Sequential("g_a", layers, in_shape=(in_dim,))
     assert net.out_shape() == (fc, cfg.low_resolution, cfg.low_resolution, cfg.low_resolution)
@@ -162,17 +164,17 @@ def build_g_h(cfg: NetConfig) -> Sequential:
     Fully convolutional and translation covariant along depth: the same
     graph serves windowed training input and the full feature volume at
     inference. Normalization statistics are per depth slice so windowed
-    and full runs agree outside CONSISTENCY_MARGIN.
+    and full runs agree outside CONSISTENCY_MARGIN. Each conv reads the x2
+    upsample of its input (``UpConv3d``), so neither 8x larger upsampled
+    tensor is built.
     """
     fc = cfg.base_channels
     c1 = _c(fc // 2)
     low = cfg.low_resolution
     layers = [
-        ("up0", Interp(2.0)),
-        ("conv0", Conv3d(fc, c1, 3, 1, 1)),
+        ("conv0", UpConv3d(fc, c1)),
         ("norm0", GroupNorm(c1, per_depth_slice=True)), ("act0", Act("relu")),
-        ("up1", Interp(2.0)),
-        ("conv1", Conv3d(c1, 1, 3, 1, 1)),
+        ("conv1", UpConv3d(c1, 1)),
         ("tanh", Act("tanh")),
     ]
     return Sequential("g_h", layers, in_shape=(fc, low, low, low))

@@ -106,6 +106,15 @@ def resample_dense(arr: np.ndarray, extents, align_corners: bool = False) -> np.
     return out
 
 
+def upconv3d_direct(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The x2 half-pixel upsample, then a 3^3 stride-1 pad-1 conv, both by
+    the dense oracles in float64: what ``Interp(2.0)`` then ``Conv3d``
+    computes, and the oracle for ``conv3d(..., upsample=True)``."""
+    x = np.asarray(x, np.float64)
+    up = resample_dense(x, [2 * n for n in x.shape[1:]])
+    return conv3d_direct(up, np.asarray(w, np.float64), np.asarray(b, np.float64), 1, 1)
+
+
 def ellipsoid_mask_direct(extents, center, semi_axes) -> np.ndarray:
     """Whole-grid ellipsoid mask from three meshgrid copies; the oracle for
     the box-clipped masks of ``slabgan.phantoms``."""

@@ -69,6 +69,25 @@ class TestGenerateFull:
         assert np.all(np.isfinite(vol)) and np.abs(vol).max() <= 1.0
         assert peak < 2 ** 30, f"traced peak {peak / 2 ** 20:.0f} MB"
 
+    def test_no_upsampled_tensor_in_generate_or_sr(self):
+        """The traced peaks of ``generate_full`` and ``sr_infer`` at desk 64^3
+        stay below what building g_h's or the SR head's x2 upsample costs:
+        with it they peaked at 10.7 and 22.5 MB, without it at 3.2 and
+        8.5 MB."""
+        from slabgan import sr
+        nets = build_model_set(desk_config(), np.random.default_rng(0))
+        z = np.random.default_rng(1).standard_normal(64).astype(np.float32)
+        state = sr.build_sr(sr.SRConfig(hr_resolution=64).validate(), seed=2)
+        lr = np.random.default_rng(3).uniform(-1, 1, (32, 32, 32)).astype(np.float32)
+        for run, bound in ((lambda: generate_full(nets, z), 6), (lambda: sr.sr_infer(state, lr), 14)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MB"
+
     def test_interior_matches_windowed_path(self, nets, z64):
         """Full decode agrees with the slab decode used during training on
         window interiors (the cross-module consistency oracle)."""

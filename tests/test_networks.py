@@ -1,6 +1,8 @@
 """Architecture fidelity (symbolic), builder shape contracts, parameter
 counts, windowed/full decoder consistency."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -41,7 +43,9 @@ class TestReferenceTables:
     def test_g_h_table(self):
         net = build_g_h(REF)
         rows = net.shapes()
-        assert rows[0][2] == (64, 128, 128, 128)           # first interpolation
+        # the first interpolation, folded into conv0
+        assert rows[0][1] == "Conv3D 3x3x3, 1 after x2 Interpolation"
+        assert net.layers[0][1].up_shape(net.in_shape) == (64, 128, 128, 128)
         assert net.out_shape() == (1, 256, 256, 256)
         convs = [s for _, d, s in rows if d.startswith("Conv3D")]
         assert convs == [(32, 128, 128, 128), (1, 256, 256, 256)]
@@ -263,6 +267,31 @@ class TestValidation:
 
     def test_low_is_quarter(self):
         assert NetConfig(full_resolution=128).validate().low_resolution == 32
+
+
+class TestCheckpointCompatibility:
+    """Folding each x2 upsample into the conv after it changed no parameter:
+    the names and shapes (the checkpoint layout) are those of the networks
+    that ran ``Interp`` then ``Conv3d``, pinned here as a SHA-256 of the
+    sorted (name, shape) list."""
+
+    @staticmethod
+    def _layout(store):
+        items = sorted((n, tuple(int(s) for s in p.data.shape)) for n, p in store.params.items())
+        return len(items), hashlib.sha256(repr(items).encode()).hexdigest()
+
+    def test_model_set(self):
+        nets = build_model_set(DESK, np.random.default_rng(0))
+        assert self._layout(nets.store) == (
+            94, "e95a6a98ab95a01b2694f5cf157f87bd783ac90ca4f00e942ccb75df194a327f")
+        assert nets.store.params["g_h/conv1/weight"].shape == (1, 4, 3, 3, 3)
+
+    def test_sr(self):
+        from slabgan.sr import SRConfig, build_sr
+        state = build_sr(SRConfig(), seed=0)
+        assert self._layout(state.store) == (
+            34, "7ab3410366d673759b23ac80ead980cd3b9edc0cb21316c5c901440ab6ecd505")
+        assert state.store.params["sr_g/res/conv/weight"].shape == (1, 8, 3, 3, 3)
 
 
 class TestSummary:

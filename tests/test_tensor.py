@@ -13,10 +13,10 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import (conv3d_direct, finite_difference, gradcheck, interp_matrix, rel_err,
-                      resample_dense)
+                      resample_dense, upconv3d_direct)
 from slabgan import tensor as T
 from slabgan import optim
-from slabgan.layers import Interp
+from slabgan.layers import Conv3d, Interp
 from slabgan.optim import ParamStore, adam_step, optimize
 from slabgan.tensor import GraphError, ShapeError, Tensor
 
@@ -308,6 +308,144 @@ class TestConv3dChunked:
         assert peak < 24 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MB"
 
 
+def _upconv(x, w, b):
+    return T.conv3d(x, w, b, 1, 1, upsample=True)
+
+
+@pytest.fixture
+def folded(monkeypatch):
+    """Take the phase correlation at every slice size, however small."""
+    monkeypatch.setattr(T, "UP2_FOLD_MIN_SLICE_PER_COUT", 0)
+
+
+class TestUpConv3d:
+    """``conv3d(..., upsample=True)``: the x2 upsample folded into a 3^3 conv."""
+
+    SHAPES = [(2, 1, 1, 1), (2, 2, 2, 2), (3, 3, 3, 3), (2, 1, 2, 3), (3, 3, 1, 2),
+              (2, 5, 7, 9), (1, 4, 6, 5), (3, 2, 8, 3)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_oracle_everywhere(self, folded, shape):
+        """Every output voxel, faces, edges and corners included, at extents
+        1, 2 and 3 and at odd, non-cubic shapes."""
+        rng = np.random.default_rng(zlib.crc32(repr(shape).encode()))
+        x = rng.standard_normal(shape)
+        w = rng.standard_normal((3, shape[0], 3, 3, 3))
+        b = rng.standard_normal(3)
+        got = _upconv(Tensor(x), Tensor(w), Tensor(b)).data
+        want = upconv3d_direct(x, w, b)
+        assert got.shape == (3,) + tuple(2 * n for n in shape[1:])
+        assert np.abs(got - want).max() < 1e-12
+
+    def test_float32_matches_oracle_when_rows_are_chunked(self, folded, monkeypatch):
+        """A 1-byte workspace makes ``_conv_chunks`` split every output row
+        of every correlation the op runs."""
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((4, 5, 9, 7)).astype(np.float32)
+        w = rng.standard_normal((2, 4, 3, 3, 3)).astype(np.float32)
+        b = rng.standard_normal(2).astype(np.float32)
+        whole = _upconv(Tensor(x), Tensor(w), Tensor(b)).data
+        monkeypatch.setattr(T, "CONV_WORKSPACE_BYTES", 1)
+        assert all(ys.stop - ys.start == 1 for _, ys in T._conv_chunks(4 * 9, (5, 9, 7), 4, 2))
+        chunked = _upconv(Tensor(x), Tensor(w), Tensor(b)).data
+        want = upconv3d_direct(x, w, b)
+        for got in (whole, chunked):
+            assert got.dtype == np.float32
+            assert np.abs(got - want).max() / np.abs(want).max() < 1e-6
+
+    @pytest.mark.parametrize("min_slice", [0, 10 ** 9])
+    def test_agrees_with_interp_then_conv(self, monkeypatch, min_slice):
+        """Folded (any slice size) or unfused (no slice large enough), the op
+        agrees with the two layers it replaces within float32 rounding."""
+        monkeypatch.setattr(T, "UP2_FOLD_MIN_SLICE_PER_COUT", min_slice)
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.standard_normal((4, 6, 8, 8)).astype(np.float32))
+        conv = Conv3d(4, 2, 3, 1, 1)
+        conv.w = Tensor(rng.standard_normal((2, 4, 3, 3, 3)).astype(np.float32))
+        conv.b = Tensor(rng.standard_normal(2).astype(np.float32))
+        pair = conv.forward(Interp(2.0).forward(x, False), False).data
+        got = _upconv(x, conv.w, conv.b).data
+        assert np.abs(got - pair).max() / np.abs(pair).max() < 1e-6
+
+    @pytest.mark.parametrize("shape", [(2, 1, 1, 1), (2, 2, 3, 1), (2, 3, 2, 4)])
+    def test_gradcheck(self, shape):
+        rng = np.random.default_rng(zlib.crc32(repr(shape).encode()))
+        arrays = [rng.standard_normal(shape), rng.standard_normal((2, shape[0], 3, 3, 3)) * 0.4,
+                  rng.standard_normal(2) * 0.1]
+        gradcheck(lambda x, w, b: T.tsum(T.square(_upconv(x, w, b))), arrays)
+
+    def test_taped_keeps_the_upsample_and_matches_untaped(self):
+        """Under a tape the op is the unfused pair: two tape nodes, the
+        upsampled input among them, and the pair's output bit for bit."""
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((3, 4, 8, 8)).astype(np.float32)
+        w = Tensor(rng.standard_normal((2, 3, 3, 3, 3)).astype(np.float32), requires_grad=True)
+        b = Tensor(rng.standard_normal(2).astype(np.float32), requires_grad=True)
+        taped = _upconv(Tensor(x, requires_grad=True), w, b)
+        assert len(T.active_tape()) == 2
+        assert T.active_tape().nodes[0].shape == (3, 8, 16, 16)
+        pair = T.conv3d(Interp(2.0).forward(Tensor(x), False), w, b, 1, 1)
+        assert np.array_equal(taped.data, pair.data)
+        with T.no_grad():
+            folded = _upconv(Tensor(x), w, b).data
+        assert np.abs(folded - pair.data).max() / np.abs(pair.data).max() < 1e-6
+        T.active_tape().clear()
+
+    def test_zero_weights_give_exact_zeros(self, folded):
+        rng = np.random.default_rng(6)
+        x = Tensor(rng.standard_normal((3, 5, 6, 7)).astype(np.float32))
+        w = Tensor(np.zeros((2, 3, 3, 3, 3), np.float32))
+        out = _upconv(x, w, Tensor(np.zeros(2, np.float32))).data
+        assert out.shape == (2, 10, 12, 14) and not out.any()
+        bias = _upconv(x, w, Tensor(np.array([1.5, -2.0], np.float32))).data
+        assert np.array_equal(bias, np.broadcast_to(np.array([1.5, -2.0], np.float32)[:, None, None, None],
+                                                    bias.shape))
+
+    @pytest.mark.parametrize("d,length", [(9, 4), (12, 1), (7, 3), (16, 8)])
+    def test_depth_window_bitwise_at_every_start(self, d, length):
+        """A depth window reproduces the volume's output bit for bit away
+        from its first two and last two output slices, at every start."""
+        rng = np.random.default_rng(d * 100 + length)
+        x = rng.standard_normal((3, d, 16, 16)).astype(np.float32)
+        w = Tensor(rng.standard_normal((2, 3, 3, 3, 3)).astype(np.float32))
+        b = Tensor(rng.standard_normal(2).astype(np.float32))
+        assert 16 * 16 >= T.UP2_FOLD_MIN_SLICE_PER_COUT * 2       # the folded path
+        full = _upconv(Tensor(x), w, b).data
+        for z0 in range(d - length + 1):
+            sub = _upconv(Tensor(x[:, z0:z0 + length]), w, b).data
+            lo = 0 if z0 == 0 else 2
+            hi = 2 * length if z0 + length == d else 2 * length - 2
+            assert np.array_equal(sub[:, lo:hi], full[:, 2 * z0 + lo:2 * z0 + hi]), z0
+
+    def test_rejects_other_kernels_and_strides(self):
+        x = Tensor(np.zeros((2, 4, 4, 4), np.float32))
+        with pytest.raises(ShapeError):
+            _upconv(x, Tensor(np.zeros((1, 2, 4, 4, 4), np.float32)), Tensor(np.zeros(1)))
+        with pytest.raises(ShapeError):
+            _upconv(x, Tensor(np.zeros((1, 3, 3, 3, 3), np.float32)), Tensor(np.zeros(1)))
+        with pytest.raises(ValueError):
+            T.conv3d(x, Tensor(np.zeros((1, 2, 3, 3, 3), np.float32)), Tensor(np.zeros(1)),
+                     2, 1, upsample=True)
+
+    def test_no_grad_workspace_at_128(self):
+        """A no_grad 8->1 x2 upsample-conv to 128^3 never builds the 64 MB
+        upsampled input: it holds the 8 MB output, the edge-padded 8 MB
+        input, the 8 MB phase output and small border slabs."""
+        rng = np.random.default_rng(13)
+        x = Tensor(rng.standard_normal((8, 64, 64, 64), dtype=np.float32))
+        w = Tensor(rng.standard_normal((1, 8, 3, 3, 3), dtype=np.float32))
+        b = Tensor(np.zeros(1, np.float32))
+        tracemalloc.start()
+        try:
+            with T.no_grad():
+                out = _upconv(x, w, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (1, 128, 128, 128)
+        assert peak < 40 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MB"
+
+
 def _resize(x: Tensor, extents, align_corners: bool = False) -> Tensor:
     """``resize3d`` of a (C, D, H, W) tensor to ``extents``, one plan per axis."""
     return T.resize3d(x, [T.interp_plan(n, m, align_corners, x.dtype)
@@ -399,7 +537,7 @@ class TestInterpPlan:
 
     @pytest.mark.parametrize("scale", [2.0, (1, 2, 2)])
     def test_gradcheck_float64(self, scale):
-        from slabgan.layers import Interp
+        from slabgan.layers import Conv3d, Interp
         layer = Interp(scale)
         x = np.random.default_rng(42).standard_normal((2, 3, 5, 4))
         gradcheck(lambda t: T.tsum(T.square(layer.forward(t, True))), [x])
