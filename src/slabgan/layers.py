@@ -150,9 +150,9 @@ class UpConv3d(Conv3d):
     Without a gradient tape the upsampled input is never built:
     ``conv3d(..., upsample=True)`` correlates the input with the kernel's
     eight phase kernels on its own grid. Taped, it builds the upsample and
-    keeps it for backward, as the two layers did. The parameters are the
-    conv's, under the conv's name, so a network that folds its upsamples
-    keeps its parameter names and checkpoints.
+    keeps it for backward. The parameters are the conv's, under the conv's
+    name, so swapping the two layers for this one keeps parameter names
+    and checkpoints.
     """
 
     SUFFIX = " after x2 Interpolation"

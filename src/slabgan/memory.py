@@ -27,6 +27,15 @@ Its input gradient is one such correlation of the output gradient, so
 backward adds only the correlation's own output, about the size of the
 input gradient, from which the stride phases are interleaved.
 
+A conv that reads the x2 upsample of its input is one listing row
+(``UpConv3d``, "Conv3D 3x3x3, 1 after x2 Interpolation"). Without a tape
+it never builds the upsampled tensor, so a no-grad pass counts only the
+row's output; its uncounted workspace is the input edge-padded along H
+and W, the phase-stacked output before the interleave (the size of the
+output) and the few upsampled planes of its H and W borders. Taped, it
+keeps the upsampled input for backward, and the replay counts that too
+(``_rows_bytes(..., taped=True)``).
+
 The replay of a whole ``train_amortized`` step lands within 5% of the
 measured peak at desk widths from 32^3 to 128^3, but each phase still
 undercounts by a few percent. Replay against measured peak (desk widths,

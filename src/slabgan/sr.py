@@ -91,10 +91,9 @@ class SRGenerator:
     """Residual encoder-decoder: output = trilinear_up(x) + branch(x).
 
     The branch ends in ``residual_head``, one ``UpConv3d`` that reads the x2
-    upsample of the decoder output without building it. ``up_out``, the
-    upsample the head used to run first, is no longer called by
-    ``forward``; it stays an attribute because the benchmark harness
-    (``perfbench``) still names it.
+    upsample of the decoder output; without a gradient tape it does not
+    build it. ``forward`` does not call ``up_out``: it stays an attribute
+    because the benchmark harness (``perfbench``) names it in its spans.
     """
 
     def __init__(self, cfg: SRConfig):

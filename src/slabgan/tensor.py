@@ -812,7 +812,9 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor, stride=1, pad=0, upsample: bool = Fa
 
 
 def _conv3d(x: Tensor, w: Tensor, b: Tensor, stride, pad) -> Tensor:
-    """``conv3d`` without ``upsample``; ``stride`` and ``pad`` are triples."""
+    """``conv3d`` without ``upsample``; ``stride`` and ``pad`` are triples.
+    The upsample path calls it directly, so a traced ``conv3d`` call stays
+    one call."""
     xd, wd = x.data, w.data
     if xd.ndim != 4 or wd.ndim != 5:
         raise ShapeError(f"conv3d: x {xd.shape}, w {wd.shape}")
@@ -1207,9 +1209,10 @@ def _up2_faces(ext, dtype):
 # this many voxels per output channel; smaller slices run the pair unfused,
 # their upsampled tensor being small. Both cost the same MACs, but the folded
 # form adds work on the 8x larger phase kernels and on the borders, which
-# only activations well above the kernel's size repay. Forward times at one
-# BLAS thread, unfused -> folded: 64 -> 32 channels at 4^3, 2.4 -> 9.7 ms;
-# 32 -> 16 at 8^3, 3.9 -> 6.4 ms; 16 -> 8 at 16^3, 13.3 -> 9.1 ms. The rule
+# only activations well above the kernel's size repay. No-grad forward at
+# one BLAS thread, unfused -> folded: 64 -> 32 channels at 4^3, 1.9 -> 8.7
+# ms; 32 -> 16 at 8^3, 3.9 -> 5.0 ms; 16 -> 8 at 16^3, 13.3 -> 7.2 ms;
+# 8 -> 4 at 16^3, 3.0 -> 3.2 ms; 4 -> 1 at 64^3, 88 -> 34 ms. The rule
 # ignores the depth, so a depth window takes the same path as its volume.
 UP2_FOLD_MIN_SLICE_PER_COUT = 27
 

@@ -50,3 +50,27 @@ def test_record_uses_declared_workloads_metrics_and_units(path):
                 for v in [stats["median"], stats["q1"], stats["q3"], *stats["runs"]]:
                     assert _is_number(v), f"{name}/{metric}/{side}: {v!r}"
                 assert stats["q1"] <= stats["median"] <= stats["q3"]
+
+
+def test_bench_pairs_summary_counts_wins_in_the_declared_direction():
+    """``tools/bench_pairs.py`` turns per-pair run results into the metric
+    entries this file checks; a win is a strictly better change run."""
+    import importlib.util
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", os.path.join(ROOT, "tools", "bench_pairs.py"))
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    declared = {"ops_per_s": {"unit": "1/s", "better": "higher"},
+                "peak_rss_mb": {"unit": "MB", "better": "lower"}}
+
+    def run(ops, rss):
+        return {"metrics": {"ops_per_s": {"value": ops, "unit": "1/s"},
+                            "peak_rss_mb": {"value": rss, "unit": "MB"}}}
+    results = {"parent": [run(1.0, 200.0), run(2.0, 200.0), run(3.0, 200.0)],
+               "change": [run(1.5, 190.0), run(2.0, 210.0), run(2.5, 200.0)]}
+    metrics = bench_pairs.summarize(results, declared)
+    assert metrics["ops_per_s"]["wins"] == 1 and metrics["peak_rss_mb"]["wins"] == 1
+    stats = metrics["ops_per_s"]["parent"]
+    assert (stats["q1"], stats["median"], stats["q3"]) == (1.5, 2.0, 2.5)
+    assert stats["runs"] == [1.0, 2.0, 3.0]
+    assert metrics["peak_rss_mb"]["unit"] == "MB"

@@ -79,7 +79,8 @@ class TestGenerateFull:
         z = np.random.default_rng(1).standard_normal(64).astype(np.float32)
         state = sr.build_sr(sr.SRConfig(hr_resolution=64).validate(), seed=2)
         lr = np.random.default_rng(3).uniform(-1, 1, (32, 32, 32)).astype(np.float32)
-        for run, bound in ((lambda: generate_full(nets, z), 6), (lambda: sr.sr_infer(state, lr), 14)):
+        for run, bound in ((lambda: generate_full(nets, z), 6),
+                           (lambda: sr.sr_infer(state, lr), 14)):
             tracemalloc.start()
             try:
                 run()

@@ -397,9 +397,9 @@ class TestUpConv3d:
         w = Tensor(np.zeros((2, 3, 3, 3, 3), np.float32))
         out = _upconv(x, w, Tensor(np.zeros(2, np.float32))).data
         assert out.shape == (2, 10, 12, 14) and not out.any()
-        bias = _upconv(x, w, Tensor(np.array([1.5, -2.0], np.float32))).data
-        assert np.array_equal(bias, np.broadcast_to(np.array([1.5, -2.0], np.float32)[:, None, None, None],
-                                                    bias.shape))
+        b = np.array([1.5, -2.0], np.float32)
+        bias = _upconv(x, w, Tensor(b)).data
+        assert np.array_equal(bias, np.broadcast_to(b[:, None, None, None], bias.shape))
 
     @pytest.mark.parametrize("d,length", [(9, 4), (12, 1), (7, 3), (16, 8)])
     def test_depth_window_bitwise_at_every_start(self, d, length):
