@@ -1,8 +1,8 @@
 """Where the memory goes: slab amortization in numbers.
 
-Compares the analytic live-set model against instrumented measurements
-of real steps, shows the linear law of the slab branch, and sweeps the
-configured resolution.
+Compares the analytic model (the real step run on priced stand-in
+networks) against instrumented measurements of real steps, shows the
+linear law of the slab branch, and sweeps the configured resolution.
 """
 
 from dataclasses import replace

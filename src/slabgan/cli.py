@@ -334,11 +334,11 @@ def cmd_memsim(args) -> int:
     net_cfg = cfg.net_config()
     if args.sweep:
         resolutions = [int(r) for r in args.sweep.split(",")]
-        _, table = resolution_sweep(net_cfg, resolutions)
+        _, table = resolution_sweep(net_cfg, resolutions, cfg.batch_size)
         print("# " + artifact_header(cfg))
         print(table)
         return 0
-    rep = analytic_memory(net_cfg, args.mode)
+    rep = analytic_memory(net_cfg, args.mode, cfg.batch_size)
     print("# " + artifact_header(cfg))
     print(rep.table())
     if args.measured:
@@ -346,7 +346,8 @@ def cmd_memsim(args) -> int:
             from .memory import measured_inference_peak
             mrep = measured_inference_peak(net_cfg, seed=args.seed or 0)
         else:
-            mrep = measured_train_peak(net_cfg, args.mode, seed=args.seed or 0)
+            mrep = measured_train_peak(net_cfg, args.mode, seed=args.seed or 0,
+                                       batch_size=cfg.batch_size)
         print("# measured")
         print(mrep.table())
     return 0

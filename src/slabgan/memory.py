@@ -1,22 +1,43 @@
 """Analytic and instrumented accounting of training/inference memory.
 
-Both models count with one class, ``tensor.LiveSet``: live activation
-and gradient bytes over static bytes, with a running peak and the
-activation/gradient split at that peak. The static bytes are the
-parameters and, when training, two Adam moments per parameter; the
-analytic replay starts its LiveSet from them, and the measured reports
-add them from the ParamStore. A report's ``activations_bytes`` and
-``grads_bytes`` are the split at the peak, so the four components add up
-to ``peak_total``.
+Both models read one meter, ``tensor.METER`` (a ``LiveSet``): the live
+activation and gradient bytes of every Tensor, with a running peak and
+the activation/gradient split at that peak. ``measured_memory`` reports
+the peak of a closure above the meter's state at entry; the reports add
+the static bytes, the parameters and, when training, two Adam moments
+per parameter. A report's ``activations_bytes`` and ``grads_bytes`` are
+the split at the peak, so the four components add up to ``peak_total``.
 
-The analytic model replays one training step (or inference pass) as an
-allocation/free event stream over the builders' symbolic layer shapes,
-under the live-set rule: a taped activation stays live until backward
-consumes the tape, a no-grad activation dies as soon as its consumer has
-run, gradients of interior nodes are freed eagerly in reverse order, and
-parameter gradients live until the optimizer step. The measured model
-reads the global ``tensor.METER``, which every Tensor feeds, during an
-actual step. Both count tensor payload bytes only (no allocator slack, no
+The measured model runs a real step (or inference pass) on a built
+``ModelSet``. The analytic model runs the same code, ``training.train_step``
+on zero volumes or ``inference.generate_full``, on a stand-in ``ModelSet``
+whose networks price a call instead of computing it (``_PricedNet``). A
+stand-in returns a zero tensor of the output shape and holds on the meter
+what the real layers would hold, from the listing's symbolic shapes: the
+output of each listing row (``_rows_bytes``) and, when the call is taped,
+the upsampled input of each x2 upsample-conv row and the normalized
+weight copy of each spectral-normalized layer (``_sn_bytes``). Everything
+between network calls runs for real: the losses, the window selectors'
+copies, ``split_volume``'s windows and their ``concat``, the full
+high-resolution input of the global encoder, the backward sweep, the
+optimizer (on one empty parameter leaf per network) and ``step_guard``.
+So the step's own code decides every lifetime, and a change to the step
+changes the model with it. The price is that work at full size: one
+reference-width 256^3 ``train_amortized`` call takes about 0.7 s and
+330 MB of max RSS on a 2-core Xeon (inference 0.02 s). A replay of the
+phases written out by hand took 5 ms, but needed a second edit for each
+change to the step and drifted from it by up to 11% per phase.
+
+At desk widths (seed 0, batch 2) the analytic payload peak of a whole
+``train_amortized`` step equals the measured one to the byte at 32^3,
+64^3 and 128^3, and so does inference; so do ``train_full`` at 32^3 and
+64^3, batch 4 at 64^3 and five classes at 32^3 and 64^3. Phase by phase (``train_step(..., phases=(p,))``
+against the same phase of a warmed-up real state, static bytes included)
+every phase is byte-exact but 32^3 phase d, at 0.994: a trained
+spectral-normalized layer's backward briefly holds the gradient of its
+normalized weight, which the stand-in does not price.
+
+Both models count tensor payload bytes only (no allocator slack, no
 numpy temporaries inside ops), so trends rather than absolute megabytes
 are the meaningful output. conv3d's uncounted op workspace is one slab
 of the padded input planes of a run of output slices (a few planes of
@@ -33,29 +54,25 @@ it never builds the upsampled tensor, so a no-grad pass counts only the
 row's output; its uncounted workspace is the input edge-padded along H
 and W, the phase-stacked output before the interleave (the size of the
 output) and the few upsampled planes of its H and W borders. Taped, it
-keeps the upsampled input for backward, and the replay counts that too
-(``_rows_bytes(..., taped=True)``).
-
-The replay of a whole ``train_amortized`` step lands within 5% of the
-measured peak at desk widths from 32^3 to 128^3, but each phase still
-undercounts by a few percent. Replay against measured peak (desk widths,
-seed 0, batch 2, MB of 10^6 bytes): at 128^3 phase eh 44.2 vs 46.3 and
-phase eg 60.2 vs 63.0; at 32^3 phase d 10.7 vs 12.0. The gap is not
-located. Candidates, none of them checked: the l1-loss intermediates on
-the slab, the spectral-norm weight copies on the tape, and
-``split_volume`` holding all windows of the encoder at once where the
-replay holds one.
+keeps the upsampled input for backward, and so does its stand-in.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .layers import UpConv3d
-from .networks import NetConfig, symbolic_model_set, parameter_count
-from .tensor import METER, LiveSet
+from . import tensor as T
+from .inference import generate_full
+from .layers import Sequential, UpConv3d
+from .networks import (Discriminator, ModelSet, NetConfig, build_model_set,
+                       parameter_count, symbolic_model_set)
+from .optim import ParamStore
+from .tensor import METER, Tensor
+from .training import LossWeights, TrainState, init_train_state, train_step
 
 
 @dataclass
@@ -109,51 +126,11 @@ def _rows_bytes(net, in_shape=None, taped: bool = False):
     return rows
 
 
-def _fwd_taped(sim: LiveSet, row_bytes, tape: list):
-    for b in row_bytes:
-        tape.append(sim.add(b))
-    return row_bytes[-1] if row_bytes else 0
-
-
-def _fwd_nograd(sim: LiveSet, row_bytes):
-    prev = 0
-    for b in row_bytes:
-        sim.add(b)
-        if prev:
-            sim.add(-prev)
-        prev = b
-    return prev
-
-
-def _backward(sim: LiveSet, tape: list, pgrad_bytes: int):
-    """Reverse sweep: param grads accumulate, interior grads freed eagerly."""
-    sim.add(grad=pgrad_bytes)
-    if tape:
-        gprev = sim.add(grad=tape[-1])
-        for b in reversed(tape[:-1]):
-            g = sim.add(grad=b)
-            sim.add(grad=-gprev)
-            gprev = g
-        sim.add(grad=-gprev)
-    for b in tape:
-        sim.add(-b)
-    tape.clear()
-    return pgrad_bytes
-
-
-def _group_bytes(nets: dict, prefixes) -> int:
-    total = 0
-    for name, net in nets.items():
-        if any(name == p.rstrip("/") for p in prefixes):
-            total += net.n_params() * _ITEM
-    return total
-
-
-def _win_shapes(cfg: NetConfig):
-    low, full, fc = cfg.low_resolution, cfg.full_resolution, cfg.base_channels
-    a_win = (fc, cfg.subvol_depth_low, low, low)
-    x_win = (1, cfg.subvol_depth_high, full, full)
-    return a_win, x_win
+def _sn_bytes(net: Sequential) -> int:
+    """Bytes of the normalized weight copies a taped call of ``net`` keeps
+    until the tape clears, one per spectral-normalized layer."""
+    return sum(_nbytes(layer.param_shapes()["weight"]) for _, layer in net.layers
+               if getattr(layer, "spectral", False))
 
 
 def high_res_branch_bytes(cfg: NetConfig) -> int:
@@ -161,7 +138,9 @@ def high_res_branch_bytes(cfg: NetConfig) -> int:
     the conv part of d_h on window-shaped input). Linear in the window
     multiplier by construction: every counted extent scales with it."""
     nets = symbolic_model_set(cfg)
-    a_win, x_win = _win_shapes(cfg)
+    low, full = cfg.low_resolution, cfg.full_resolution
+    a_win = (cfg.base_channels, cfg.subvol_depth_low, low, low)
+    x_win = (1, cfg.subvol_depth_high, full, full)
     total = sum(_rows_bytes(nets["g_h"], a_win, taped=True))
     total += sum(_rows_bytes(nets["e_h"], x_win))
     for _, desc, shape in nets["d_h"].trunk.shapes(x_win):
@@ -171,136 +150,136 @@ def high_res_branch_bytes(cfg: NetConfig) -> int:
     return total
 
 
+def _held(nbytes: int) -> Tensor:
+    """A Tensor that counts ``nbytes`` of payload for as long as it lives;
+    its data is a broadcast zero, so it allocates nothing."""
+    return Tensor(np.broadcast_to(np.float32(0), (nbytes // _ITEM,)))
+
+
+class _ParamGrad(Tensor):
+    """All parameters of one stand-in network as one empty leaf. Its
+    gradient holds nothing but is counted at the parameters' size, so
+    ``adam_step`` and ``zero_grads`` run on it unchanged."""
+    __slots__ = ("param_bytes",)
+
+    def __init__(self, param_bytes: int):
+        super().__init__(np.zeros(0, np.float32))
+        self.param_bytes = param_bytes
+
+    def accumulate_grad(self, g: np.ndarray) -> None:
+        if self.grad is None:
+            self.grad = g
+            self._grad_nbytes = METER.add(grad=self.param_bytes)
+
+
+class _PricedNet:
+    """Stand-in for one ``Sequential`` that prices a call instead of
+    running it.
+
+    A call returns a zero tensor of the output shape and holds the other
+    ``_rows_bytes`` of the real call on the meter: without a tape each row
+    until the next row's output exists; taped, every row and the
+    normalized weight copies (``_sn_bytes``) until the tape clears. Its
+    backward sweeps the interior gradients from the output back, two
+    adjacent ones live at a time, then allocates the parameter gradient
+    and the input's gradient while the first row's is still live, as the
+    layers' own backward does. The parameter leaf is registered under the
+    network's first parameter name, so a lookup of that name
+    (``training._sample_latent`` reads the latent dtype from
+    ``g_a/dense/weight``) answers as on the real store.
+    """
+
+    def __init__(self, net: Sequential, store: ParamStore):
+        self.net, self.in_shape = net, net.in_shape
+        first = next(f"{net.prefix}/{name}/{key}" for name, layer in net.layers
+                     for key in layer.param_shapes())
+        self.params = store.register(first, _ParamGrad(net.n_params() * _ITEM))
+
+    def __call__(self, x: Tensor, training: bool = True) -> Tensor:
+        out_shape = self.net.out_shape(x.shape)
+        if not (T.active_tape().enabled and (x.requires_grad or self.params.requires_grad)):
+            row = None
+            for b in _rows_bytes(self.net, x.shape)[:-1]:
+                row = _held(b)          # the row before dies once this one exists
+            out = Tensor(np.zeros(out_shape, np.float32))
+            del row
+            return out
+        held = [_held(b) for b in _rows_bytes(self.net, x.shape, taped=True)[:-1]]
+
+        def bwd(g):
+            release = out.zero_grad     # frees the output's own gradient
+            for row in reversed(held):
+                METER.add(grad=row.data.nbytes)
+                release()
+                release = functools.partial(METER.add, grad=-row.data.nbytes)
+            if self.params.requires_grad:
+                self.params.accumulate_grad(np.zeros(0, np.float32))
+            if x.requires_grad:
+                x.accumulate_grad(np.zeros(x.shape, x.dtype))
+            release()
+
+        # the normalized weight copies are parents, as the real conv's are
+        out = T._make(np.zeros(out_shape, np.float32),
+                      (x, self.params, _held(_sn_bytes(self.net))), bwd)
+        return out
+
+
+def _priced_model_set(cfg: NetConfig) -> ModelSet:
+    """The networks of ``cfg`` as ``_PricedNet`` stand-ins, over a store
+    that holds one ``_ParamGrad`` leaf per ``Sequential``."""
+    store = ParamStore()
+
+    def priced(net):
+        if isinstance(net, Discriminator):
+            return Discriminator(net.prefix, priced(net.trunk), priced(net.adv_head),
+                                 net.cls_head and priced(net.cls_head))
+        return _PricedNet(net, store)
+    return ModelSet(cfg=cfg, store=store,
+                    **{k: priced(net) for k, net in symbolic_model_set(cfg).items()})
+
+
+def _priced_state(cfg: NetConfig) -> TrainState:
+    return TrainState(nets=_priced_model_set(cfg), rng=np.random.default_rng(0),
+                      weights=LossWeights())
+
+
+def _labels(cfg: NetConfig, batch_size: int):
+    return [i % cfg.num_classes for i in range(batch_size)] if cfg.num_classes else None
+
+
 def analytic_memory(cfg: NetConfig, mode: str, batch_size: int = 2) -> MemoryReport:
-    """Live-set replay of one step at the given mode.
+    """Payload peak of one step at the given mode, run on stand-in
+    networks (``_PricedNet``), plus the parameter and Adam bytes.
 
     Modes: ``train_amortized`` (the configured window multiplier),
     ``train_full`` (windows covering the whole depth), ``inference``
-    (full-volume generation, no tape).
+    (full-volume generation, no tape). The step's work between network
+    calls runs at full size, about 0.7 s at reference widths and 256^3.
+    The stand-ins count on the global meter and reset its peak, so this
+    must not run inside another measurement.
     """
     cfg.validate()
     if mode == "train_full":
-        cfg_run = replace(cfg, subvol_multiplier=1.0).validate()
-    elif mode in ("train_amortized", "inference"):
-        cfg_run = cfg
-    else:
+        cfg = replace(cfg, subvol_multiplier=1.0).validate()
+    elif mode not in ("train_amortized", "inference"):
         raise ValueError(f"unknown mode '{mode}'")
-    nets = symbolic_model_set(cfg_run)
-    params_b = parameter_count(nets) * _ITEM
-
-    low, full = cfg_run.low_resolution, cfg_run.full_resolution
-    a_full = (cfg_run.base_channels, low, low, low)
-    a_win, x_win = _win_shapes(cfg_run)
-    x_low = (1, low, low, low)
-    z_len = cfg_run.latent_dim + (cfg_run.num_classes or 0)
-
+    state = _priced_state(cfg)
+    params_b = sum(p.param_bytes for p in state.store.params.values())
     if mode == "inference":
-        sim = LiveSet(params_b)
-        sim.add(_nbytes((z_len,)))
-        a_b = _fwd_nograd(sim, _rows_bytes(nets["g_a"]))
-        # A stays referenced while g_h consumes it
-        _fwd_nograd(sim, _rows_bytes(nets["g_h"], a_full))
-        sim.add(-a_b)
-        return MemoryReport(mode=mode, params_bytes=params_b,
-                            activations_bytes=sim.peak_act_bytes, grads_bytes=0,
-                            optimizer_bytes=0, peak_total=sim.peak_total,
-                            high_res_branch_bytes=high_res_branch_bytes(cfg_run),
-                            config=asdict(cfg_run)).check()
-
-    opt_b = 2 * params_b
-    sim = LiveSet(params_b + opt_b)
-    g_b = _group_bytes(nets, ("g_a", "g_l", "g_h"))
-    d_b = _group_bytes(nets, ("d_l", "d_h"))
-    eh_b = _group_bytes(nets, ("e_h",))
-    eg_b = _group_bytes(nets, ("e_g",))
-
-    ga_rows, ga_taped = _rows_bytes(nets["g_a"]), _rows_bytes(nets["g_a"], taped=True)
-    gl_rows = _rows_bytes(nets["g_l"])
-    gh_win_rows = _rows_bytes(nets["g_h"], a_win)
-    gh_win_taped = _rows_bytes(nets["g_h"], a_win, taped=True)
-    dl_rows = _rows_bytes(nets["d_l"])
-    dh_rows = _rows_bytes(nets["d_h"], x_win)
-    eh_rows = _rows_bytes(nets["e_h"], x_win)
-    eg_rows = _rows_bytes(nets["e_g"])
-
-    # phase 1: discriminators ------------------------------------------------
-    tape: list = []
-    kept = []
-    for _ in range(batch_size):
-        a_b = _fwd_nograd(sim, ga_rows)
-        kept.append(sim.add(_nbytes(x_low)))          # fake low
-        sim.add(_nbytes(a_win))                       # A window copy
-        kept.append(_nbytes(a_win))
-        kept.append(sim.add(_fwd_nograd(sim, gh_win_rows)))  # fake sub kept
-        sim.add(-a_b)
-        kept.append(sim.add(_nbytes(x_low)))          # real low tensor
-        kept.append(sim.add(_nbytes(x_win)))          # real sub tensor
-        _fwd_taped(sim, dl_rows, tape)
-        _fwd_taped(sim, dl_rows, tape)
-        _fwd_taped(sim, dh_rows, tape)
-        _fwd_taped(sim, dh_rows, tape)
-    _backward(sim, tape, d_b)
-    for b in kept:
-        sim.add(-b)
-    sim.add(grad=-d_b)
-    kept.clear()
-
-    # phase 2: generators ----------------------------------------------------
-    for _ in range(batch_size):
-        _fwd_taped(sim, ga_taped, tape)
-        _fwd_taped(sim, gl_rows, tape)
-        tape.append(sim.add(_nbytes(a_win)))
-        _fwd_taped(sim, gh_win_taped, tape)
-        _fwd_taped(sim, dl_rows, tape)
-        _fwd_taped(sim, dh_rows, tape)
-    _backward(sim, tape, g_b)
-    sim.add(grad=-g_b)
-
-    # phase 3: slab encoder ----------------------------------------------------
-    for _ in range(batch_size):
-        kept.append(sim.add(_nbytes(x_win)))          # real sub
-        _fwd_taped(sim, eh_rows, tape)
-        _fwd_taped(sim, gh_win_taped, tape)
-    _backward(sim, tape, eh_b)
-    for b in kept:
-        sim.add(-b)
-    sim.add(grad=-eh_b)
-    kept.clear()
-
-    # phase 4: global encoder ---------------------------------------------------
-    n_win = cfg_run.n_windows
-    for _ in range(batch_size):
-        xb = sim.add(_nbytes((1, full, full, full)))   # X^H, dropped after encode
-        feats = []
-        for _ in range(n_win):
-            wb = sim.add(_nbytes(x_win))               # window copy
-            fb = _fwd_nograd(sim, eh_rows)
-            sim.add(-wb)
-            feats.append(fb)
-        ahat = sim.add(_nbytes(a_full))
-        for fb in feats:
-            sim.add(-fb)
-        sim.add(-xb)
-        kept.append(ahat)
-        _fwd_taped(sim, eg_rows, tape)
-        _fwd_taped(sim, ga_taped, tape)
-        _fwd_taped(sim, gl_rows, tape)
-        tape.append(sim.add(_nbytes(a_win)))
-        _fwd_taped(sim, gh_win_taped, tape)
-        kept.append(sim.add(_nbytes(x_low)))           # recon targets
-        kept.append(sim.add(_nbytes(x_win)))
-    _backward(sim, tape, eg_b)
-    for b in kept:
-        sim.add(-b)
-    sim.add(grad=-eg_b)
-
-    return MemoryReport(mode=f"train_amortized({cfg_run.subvol_multiplier})"
-                        if mode == "train_amortized" else mode,
-                        params_bytes=params_b, activations_bytes=sim.peak_act_bytes,
-                        grads_bytes=sim.peak_grad_bytes, optimizer_bytes=opt_b,
-                        peak_total=sim.peak_total,
-                        high_res_branch_bytes=high_res_branch_bytes(cfg_run),
-                        config=asdict(cfg_run)).check()
+        z = np.zeros(cfg.latent_dim, np.float32)
+        c = 0 if cfg.num_classes else None
+        rep = measured_memory(lambda: generate_full(state.nets, z, c), mode)
+    else:
+        batch = [np.zeros((cfg.full_resolution,) * 3, np.float32)] * batch_size
+        rep = measured_memory(lambda: train_step(state, batch, _labels(cfg, batch_size)),
+                              f"train_amortized({cfg.subvol_multiplier})"
+                              if mode == "train_amortized" else mode)
+        rep.optimizer_bytes = 2 * params_b
+    rep.params_bytes = params_b
+    rep.peak_total += params_b + rep.optimizer_bytes
+    rep.high_res_branch_bytes = high_res_branch_bytes(cfg)
+    rep.config = asdict(cfg)
+    return rep.check()
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +296,6 @@ def measured_memory(run, mode: str = "measured") -> MemoryReport:
     another model) cancel out as long as they stay constant during the
     run; callers add parameters and optimizer moments as static bytes.
     """
-    import gc
     gc.collect()
     base_total = METER.current_total()
     base_act, base_grad = METER.act_bytes, METER.grad_bytes
@@ -337,14 +315,13 @@ def measured_train_peak(cfg: NetConfig, mode: str, seed: int = 0,
     The state's own parameters and (post-warm-up) Adam moments are counted
     as static bytes present throughout the step.
     """
-    from .training import init_train_state, train_step
     if mode == "train_full":
         cfg = replace(cfg, subvol_multiplier=1.0).validate()
     state = init_train_state(cfg, seed=seed)
     rng = np.random.default_rng(seed + 1)
     batch = [rng.uniform(-1, 1, (cfg.full_resolution,) * 3).astype(np.float32)
              for _ in range(batch_size)]
-    labels = [i % cfg.num_classes for i in range(batch_size)] if cfg.num_classes else None
+    labels = _labels(cfg, batch_size)
     train_step(state, batch, labels)        # warm-up allocates Adam moments
     params_b = sum(p.data.nbytes for p in state.store.params.values())
     opt_b = sum(m.nbytes + v.nbytes for m, v, _ in state.store.adam_state.values())
@@ -357,8 +334,6 @@ def measured_train_peak(cfg: NetConfig, mode: str, seed: int = 0,
 
 
 def measured_inference_peak(cfg: NetConfig, seed: int = 0) -> MemoryReport:
-    from .networks import build_model_set
-    from .inference import generate_full
     nets = build_model_set(cfg, np.random.default_rng(seed))
     z = np.random.default_rng(seed + 1).standard_normal(cfg.latent_dim).astype(np.float32)
     c = 0 if cfg.num_classes else None
@@ -371,14 +346,15 @@ def measured_inference_peak(cfg: NetConfig, seed: int = 0) -> MemoryReport:
     return rep
 
 
-def resolution_sweep(cfg_template: NetConfig, resolutions) -> tuple[list, str]:
-    """Parameter counts and analytic peaks per resolution; returns rows and
-    a tab-separated table."""
+def resolution_sweep(cfg_template: NetConfig, resolutions,
+                     batch_size: int = 2) -> tuple[list, str]:
+    """Parameter counts and analytic peaks (training at ``batch_size``) per
+    resolution; returns rows and a tab-separated table."""
     rows = []
     for res in resolutions:
         cfg = replace(cfg_template, full_resolution=int(res)).validate()
         n_par = parameter_count(symbolic_model_set(cfg))
-        train = analytic_memory(cfg, "train_amortized")
+        train = analytic_memory(cfg, "train_amortized", batch_size)
         infer = analytic_memory(cfg, "inference")
         rows.append({"resolution": int(res), "parameters": n_par,
                      "train_peak_bytes": train.peak_total,

@@ -16,10 +16,11 @@ Each Tensor adds its payload bytes to ``METER`` when it is made and its
 gradient buffer bytes when backward allocates one, and subtracts exactly
 those bytes when the gradient is zeroed or the Tensor dies. The meter
 keeps a running peak and the activation/gradient split at that peak; the
-analytic model in ``memory.py`` replays a step into a ``LiveSet`` of its
-own, so measured and analytic reports mean the same thing. ``METER``
-does not tell a parameter from an activation, and it does not count Adam
-moments; memory reports take both as static bytes from the ParamStore.
+analytic model in ``memory.py`` runs the real step on stand-in networks
+that count their priced payload on ``METER`` too, so measured and
+analytic reports mean the same thing. ``METER`` does not tell a
+parameter from an activation, and it does not count Adam moments;
+memory reports take both as static bytes from the ParamStore.
 Raw numpy temporaries inside ops (op workspace) are intentionally not
 counted. Some are payload-sized (an output gradient, conv3d's input
 gradient before its stride phases are interleaved). conv3d never pads

@@ -11,6 +11,7 @@ import pytest
 from slabgan.cli import main
 from slabgan.config import (ConfigError, RunConfig, build_fingerprint,
                             load_run_config, parse_config_file)
+from slabgan.memory import analytic_memory, resolution_sweep
 from slabgan.networks import desk_config
 from slabgan.inference import reconstruct
 from slabgan.training import init_train_state, load_checkpoint, save_checkpoint
@@ -192,6 +193,22 @@ class TestCLI:
         assert rc == 0
         out = capsys.readouterr().out
         assert out.count("\n") >= 3 and "resolution" in out
+
+    def test_memsim_uses_batch_size(self, capsys):
+        """``--batch-size`` reaches the report and the sweep; the command
+        used to print the batch-2 peak whatever the flag said."""
+        cfg = desk_config(full_resolution=32)
+        peak4 = analytic_memory(cfg, "train_amortized", batch_size=4).peak_total
+        assert peak4 != analytic_memory(cfg, "train_amortized", batch_size=2).peak_total
+
+        def run(*argv):
+            assert main(["memsim", "--resolution", "32", "--batch-size", "4", *argv]) == 0
+            return capsys.readouterr().out.splitlines()
+
+        report = dict(line.split("\t") for line in run()[1:])
+        assert int(report["peak_total"]) == peak4
+        row = run("--sweep", "32")[-1].split("\t")
+        assert int(row[2]) == resolution_sweep(cfg, [32], batch_size=4)[0][0]["train_peak_bytes"]
 
 
 @pytest.mark.slow

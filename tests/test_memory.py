@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from slabgan.memory import (MemoryReport, analytic_memory, high_res_branch_bytes,
-                            measured_inference_peak, measured_train_peak,
-                            resolution_sweep)
+from slabgan.memory import (MemoryReport, _priced_state, analytic_memory,
+                            high_res_branch_bytes, measured_inference_peak, measured_memory,
+                            measured_train_peak, resolution_sweep)
 from slabgan.networks import desk_config, parameter_count, reference_config, symbolic_model_set
-from slabgan.tensor import METER
+from slabgan.tensor import METER, active_tape
 from slabgan.training import init_train_state, train_step
 
 DESK = desk_config()
@@ -108,6 +108,46 @@ class TestMeasured:
         a = analytic_memory(DESK, "inference").peak_total
         m = measured_inference_peak(DESK, seed=3).peak_total
         assert abs(a - m) / m < 0.25
+
+
+class TestStandInStep:
+    @pytest.mark.parametrize("res", [32, 128])
+    def test_each_phase_within_three_percent(self, res):
+        """Each phase of the stand-in step against the same phase of a
+        real, warmed-up step, static bytes included. A hand replay of the
+        phases read 0.89 at 32^3 phase d, where it missed the
+        spectral-norm weight copies, and 0.955 at 128^3 phases eh and eg."""
+        cfg = desk_config(full_resolution=res)
+        real = init_train_state(cfg, seed=0)
+        rng = np.random.default_rng(1)
+        batch = [rng.uniform(-1, 1, (res,) * 3).astype(np.float32) for _ in range(2)]
+        train_step(real, batch)                 # warm-up allocates Adam moments
+        store = real.store
+        real_static = sum(p.data.nbytes for p in store.params.values()) + sum(
+            m.nbytes + v.nbytes for m, v, _ in store.adam_state.values())
+        priced = _priced_state(cfg)
+        priced_static = 3 * sum(p.param_bytes for p in priced.store.params.values())
+        zeros = [np.zeros((res,) * 3, np.float32)] * 2
+        ratios = {}
+        for phase in ("d", "g", "eh", "eg"):
+            a = measured_memory(lambda: train_step(priced, zeros, phases=(phase,)))
+            m = measured_memory(lambda: train_step(real, batch, phases=(phase,)))
+            ratios[phase] = (a.peak_total + priced_static) / (m.peak_total + real_static)
+        assert all(abs(r - 1) < 0.03 for r in ratios.values()), ratios
+
+    @pytest.mark.parametrize("num_classes", [None, 5])
+    def test_meter_and_tape_left_as_found(self, num_classes):
+        """The stand-in step shares the global meter and tape, so anything
+        it left behind would skew every later measurement."""
+        cfg = desk_config(full_resolution=32, num_classes=num_classes)
+        gc.collect()
+        before = METER.current_total()
+        for mode in ("train_amortized", "train_full", "inference"):
+            analytic_memory(cfg, mode)
+            assert (METER.current_total(), len(active_tape())) == (before, 0), mode
+        with pytest.raises(ValueError):
+            analytic_memory(cfg, "gpu")
+        assert (METER.current_total(), len(active_tape())) == (before, 0)
 
 
 class TestResolutionSweep:
