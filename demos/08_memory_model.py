@@ -7,8 +7,7 @@ linear law of the slab branch, and sweeps the configured resolution.
 
 from dataclasses import replace
 
-from slabgan.memory import (analytic_memory, high_res_branch_bytes,
-                            measured_inference_peak, measured_train_peak,
+from slabgan.memory import (analytic_memory, high_res_branch_bytes, measured_peak,
                             resolution_sweep)
 from slabgan.networks import desk_config
 
@@ -18,16 +17,13 @@ MB = 1e6
 print("=== analytic vs measured, one desk step ===")
 for mode in ("train_amortized", "train_full", "inference"):
     a = analytic_memory(cfg, mode)
-    if mode == "inference":
-        m = measured_inference_peak(cfg, seed=0)
-    else:
-        m = measured_train_peak(cfg, mode, seed=0)
+    m = measured_peak(cfg, mode)
     print(f"{mode:16s} analytic {a.peak_total / MB:7.2f} MB   "
           f"measured {m.peak_total / MB:7.2f} MB   "
           f"ratio {a.peak_total / m.peak_total:5.3f}")
 
-m_am = measured_train_peak(cfg, "train_amortized", seed=1).peak_total
-m_full = measured_train_peak(cfg, "train_full", seed=1).peak_total
+m_am = measured_peak(cfg, "train_amortized", seed=1).peak_total
+m_full = measured_peak(cfg, "train_full", seed=1).peak_total
 print(f"\nslab training peak / full-volume training peak = {m_am / m_full:.3f}")
 
 print("\n=== slab-branch activation bytes are linear in the multiplier ===")

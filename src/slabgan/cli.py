@@ -329,7 +329,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_memsim(args) -> int:
-    from .memory import analytic_memory, measured_train_peak, resolution_sweep
+    from .memory import analytic_memory, measured_peak, resolution_sweep
     cfg = _run_config(args)
     net_cfg = cfg.net_config()
     if args.sweep:
@@ -342,14 +342,8 @@ def cmd_memsim(args) -> int:
     print("# " + artifact_header(cfg))
     print(rep.table())
     if args.measured:
-        if args.mode == "inference":
-            from .memory import measured_inference_peak
-            mrep = measured_inference_peak(net_cfg, seed=args.seed or 0)
-        else:
-            mrep = measured_train_peak(net_cfg, args.mode, seed=args.seed or 0,
-                                       batch_size=cfg.batch_size)
         print("# measured")
-        print(mrep.table())
+        print(measured_peak(net_cfg, args.mode, cfg.batch_size, seed=args.seed or 0).table())
     return 0
 
 

@@ -54,21 +54,14 @@ def _check_latent(nets: ModelSet, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def generate_full(nets: ModelSet, z: np.ndarray, c: int | None = None,
-                  want_low: bool = False):
-    """Decode a latent to the full high-resolution volume (no gradients).
-
-    Returns the (1, D, H, W) volume, or (high, low) with ``want_low``.
-    A class ``c`` outside the model's range raises ValueError.
+def generate_full(nets: ModelSet, z: np.ndarray, c: int | None = None) -> np.ndarray:
+    """Decode a latent to the full high-resolution (1, D, H, W) volume (no
+    gradients). A class ``c`` outside the model's range raises ValueError.
     """
     z = _check_latent(nets, z)
     with no_grad():
         a = nets.g_a(nets.latent_input(Tensor(z), c), training=False)
-        high = nets.g_h(a, training=False).data
-        if want_low:
-            low = nets.g_l(a, training=False).data
-            return high, low
-    return high
+        return nets.g_h(a, training=False).data
 
 
 def encode_full(nets: ModelSet, vol: np.ndarray, c: int | None = None) -> LatentCode:

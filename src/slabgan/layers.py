@@ -155,8 +155,6 @@ class UpConv3d(Conv3d):
     and checkpoints.
     """
 
-    SUFFIX = " after x2 Interpolation"
-
     def __init__(self, c_in: int, c_out: int, zero_init: bool = False):
         super().__init__(c_in, c_out, 3, stride=1, pad=1, zero_init=zero_init)
 
@@ -170,7 +168,7 @@ class UpConv3d(Conv3d):
         return super().out_shape(self.up_shape(in_shape))
 
     def describe(self):
-        return super().describe() + self.SUFFIX
+        return super().describe() + " after x2 Interpolation"
 
     def forward(self, x, training):
         return T.conv3d(x, self.w, self.b, stride=1, pad=1, upsample=True)

@@ -1,17 +1,18 @@
 """Analytic and instrumented accounting of training/inference memory.
 
-Both models read one meter, ``tensor.METER`` (a ``LiveSet``): the live
-activation and gradient bytes of every Tensor, with a running peak and
-the activation/gradient split at that peak. ``measured_memory`` reports
-the peak of a closure above the meter's state at entry; the reports add
-the static bytes, the parameters and, when training, two Adam moments
-per parameter. A report's ``activations_bytes`` and ``grads_bytes`` are
-the split at the peak, so the four components add up to ``peak_total``.
+Both reports come from one driver, ``_step_report``: it draws the step's
+inputs from a seed, runs ``training.train_step`` (or, for inference,
+``inference.generate_full``) under ``measured_memory`` and adds the
+static bytes: the parameters and, when training, two Adam moments per
+parameter. ``measured_memory`` reads one meter, ``tensor.METER`` (a
+``LiveSet``): the live activation and gradient bytes of every Tensor,
+with a running peak and the activation/gradient split at that peak. A
+report's ``activations_bytes`` and ``grads_bytes`` are the split at the
+peak, so the four components add up to ``peak_total``.
 
-The measured model runs a real step (or inference pass) on a built
-``ModelSet``. The analytic model runs the same code, ``training.train_step``
-on zero volumes or ``inference.generate_full``, on a stand-in ``ModelSet``
-whose networks price a call instead of computing it (``_PricedNet``). A
+The two reports differ only in the ``ModelSet`` the step runs on.
+``measured_peak`` builds the real networks. ``analytic_memory`` builds
+stand-ins that price a call instead of computing it (``_PricedNet``). A
 stand-in returns a zero tensor of the output shape and holds on the meter
 what the real layers would hold, from the listing's symbolic shapes: the
 output of each listing row (``_rows_bytes``) and, when the call is taped,
@@ -24,18 +25,19 @@ optimizer (on one empty parameter leaf per network) and ``step_guard``.
 So the step's own code decides every lifetime, and a change to the step
 changes the model with it. The price is that work at full size: one
 reference-width 256^3 ``train_amortized`` call takes about 0.7 s and
-330 MB of max RSS on a 2-core Xeon (inference 0.02 s). A replay of the
-phases written out by hand took 5 ms, but needed a second edit for each
-change to the step and drifted from it by up to 11% per phase.
+460 MB of max RSS on a 2-core Xeon, 130 MB of it the two drawn input
+volumes (inference 0.02 s). A replay of the phases written out by hand
+took 5 ms, but needed a second edit for each change to the step and
+drifted from it by up to 11% per phase.
 
-At desk widths (seed 0, batch 2) the analytic payload peak of a whole
-``train_amortized`` step equals the measured one to the byte at 32^3,
-64^3 and 128^3, and so does inference; so do ``train_full`` at 32^3 and
-64^3, batch 4 at 64^3 and five classes at 32^3 and 64^3. Phase by phase (``train_step(..., phases=(p,))``
-against the same phase of a warmed-up real state, static bytes included)
-every phase is byte-exact but 32^3 phase d, at 0.994: a trained
-spectral-normalized layer's backward briefly holds the gradient of its
-normalized weight, which the stand-in does not price.
+At desk widths the two reports agree to the byte, peak and split, in
+every mode: at 32^3 at batch 1 and 2, with no classes and with five; at
+64^3 and 128^3 at batch 2; and at 64^3 also at batch 4 and with five
+classes. Phase by phase (``train_step(..., phases=(p,))`` against the
+same phase of a warmed-up real state, static bytes included) every phase
+is byte-exact but 32^3 phase d, at 0.994: a trained spectral-normalized
+layer's backward briefly holds the gradient of its normalized weight,
+which the stand-in does not price.
 
 Both models count tensor payload bytes only (no allocator slack, no
 numpy temporaries inside ops), so trends rather than absolute megabytes
@@ -67,12 +69,12 @@ import numpy as np
 
 from . import tensor as T
 from .inference import generate_full
-from .layers import Sequential, UpConv3d
+from .layers import MeanPool, Sequential, UpConv3d
 from .networks import (Discriminator, ModelSet, NetConfig, build_model_set,
                        parameter_count, symbolic_model_set)
 from .optim import ParamStore
 from .tensor import METER, Tensor
-from .training import LossWeights, TrainState, init_train_state, train_step
+from .training import LossWeights, TrainState, train_step
 
 
 @dataclass
@@ -113,14 +115,14 @@ def _nbytes(shape) -> int:
     return int(np.prod(shape)) * _ITEM
 
 
-def _rows_bytes(net, in_shape=None, taped: bool = False):
+def _rows_bytes(net: Sequential, in_shape=None, taped: bool = False):
     """Payload bytes of each listing row's output. A taped x2 upsample-conv
     row (``UpConv3d``) also holds its upsampled input, which it keeps on
     the tape for backward; without a tape it builds none."""
     rows, prev = [], tuple(in_shape or net.in_shape)
-    for _, desc, shape in net.shapes(in_shape):
-        if taped and desc.endswith(UpConv3d.SUFFIX):
-            rows.append(_nbytes(UpConv3d.up_shape(prev)))
+    for (_, layer), (_, _, shape) in zip(net.layers, net.shapes(in_shape)):
+        if taped and isinstance(layer, UpConv3d):
+            rows.append(_nbytes(layer.up_shape(prev)))
         rows.append(_nbytes(shape))
         prev = shape
     return rows
@@ -143,8 +145,9 @@ def high_res_branch_bytes(cfg: NetConfig) -> int:
     x_win = (1, cfg.subvol_depth_high, full, full)
     total = sum(_rows_bytes(nets["g_h"], a_win, taped=True))
     total += sum(_rows_bytes(nets["e_h"], x_win))
-    for _, desc, shape in nets["d_h"].trunk.shapes(x_win):
-        if desc == "AvgPool":
+    d_h = nets["d_h"].trunk
+    for (_, layer), (_, _, shape) in zip(d_h.layers, d_h.shapes(x_win)):
+        if isinstance(layer, MeanPool):
             break
         total += _nbytes(shape)
     return total
@@ -238,15 +241,6 @@ def _priced_model_set(cfg: NetConfig) -> ModelSet:
                     **{k: priced(net) for k, net in symbolic_model_set(cfg).items()})
 
 
-def _priced_state(cfg: NetConfig) -> TrainState:
-    return TrainState(nets=_priced_model_set(cfg), rng=np.random.default_rng(0),
-                      weights=LossWeights())
-
-
-def _labels(cfg: NetConfig, batch_size: int):
-    return [i % cfg.num_classes for i in range(batch_size)] if cfg.num_classes else None
-
-
 def analytic_memory(cfg: NetConfig, mode: str, batch_size: int = 2) -> MemoryReport:
     """Payload peak of one step at the given mode, run on stand-in
     networks (``_PricedNet``), plus the parameter and Adam bytes.
@@ -258,20 +252,42 @@ def analytic_memory(cfg: NetConfig, mode: str, batch_size: int = 2) -> MemoryRep
     The stand-ins count on the global meter and reset its peak, so this
     must not run inside another measurement.
     """
+    return _step_report(cfg, mode, batch_size, _priced_model_set, seed=0)
+
+
+def measured_peak(cfg: NetConfig, mode: str, batch_size: int = 2,
+                  seed: int = 0) -> MemoryReport:
+    """The same report as ``analytic_memory``, from the step run on real
+    networks built from ``seed``: the instrumented peak at desk scale."""
+    return _step_report(cfg, mode, batch_size,
+                        lambda c: build_model_set(c, np.random.default_rng(seed)), seed)
+
+
+def _step_report(cfg: NetConfig, mode: str, batch_size: int, make_nets,
+                 seed: int) -> MemoryReport:
+    """Run one step of ``mode`` on ``make_nets(cfg)`` under
+    ``measured_memory``, on inputs drawn from ``seed``: uniform volumes
+    and cyclic labels for training, a normal latent and class 0 for
+    inference. Adds the parameter bytes and, when training, two Adam
+    moments per parameter."""
     cfg.validate()
     if mode == "train_full":
         cfg = replace(cfg, subvol_multiplier=1.0).validate()
     elif mode not in ("train_amortized", "inference"):
         raise ValueError(f"unknown mode '{mode}'")
-    state = _priced_state(cfg)
-    params_b = sum(p.param_bytes for p in state.store.params.values())
+    rng = np.random.default_rng(seed)
+    state = TrainState(nets=make_nets(cfg), rng=rng, weights=LossWeights())
+    params_b = parameter_count(symbolic_model_set(cfg)) * _ITEM
     if mode == "inference":
-        z = np.zeros(cfg.latent_dim, np.float32)
+        z = rng.standard_normal(cfg.latent_dim).astype(np.float32)
         c = 0 if cfg.num_classes else None
         rep = measured_memory(lambda: generate_full(state.nets, z, c), mode)
     else:
-        batch = [np.zeros((cfg.full_resolution,) * 3, np.float32)] * batch_size
-        rep = measured_memory(lambda: train_step(state, batch, _labels(cfg, batch_size)),
+        batch = [2 * rng.random((cfg.full_resolution,) * 3, np.float32) - 1
+                 for _ in range(batch_size)]
+        labels = ([i % cfg.num_classes for i in range(batch_size)]
+                  if cfg.num_classes else None)
+        rep = measured_memory(lambda: train_step(state, batch, labels),
                               f"train_amortized({cfg.subvol_multiplier})"
                               if mode == "train_amortized" else mode)
         rep.optimizer_bytes = 2 * params_b
@@ -280,10 +296,6 @@ def analytic_memory(cfg: NetConfig, mode: str, batch_size: int = 2) -> MemoryRep
     rep.high_res_branch_bytes = high_res_branch_bytes(cfg)
     rep.config = asdict(cfg)
     return rep.check()
-
-
-# ---------------------------------------------------------------------------
-# instrumented measurement
 
 
 def measured_memory(run, mode: str = "measured") -> MemoryReport:
@@ -306,44 +318,6 @@ def measured_memory(run, mode: str = "measured") -> MemoryReport:
                         grads_bytes=METER.peak_grad_bytes - base_grad,
                         optimizer_bytes=0,
                         peak_total=METER.peak_total - base_total)
-
-
-def measured_train_peak(cfg: NetConfig, mode: str, seed: int = 0,
-                        batch_size: int = 2) -> MemoryReport:
-    """Instrumented peak of one real training step at desk scale.
-
-    The state's own parameters and (post-warm-up) Adam moments are counted
-    as static bytes present throughout the step.
-    """
-    if mode == "train_full":
-        cfg = replace(cfg, subvol_multiplier=1.0).validate()
-    state = init_train_state(cfg, seed=seed)
-    rng = np.random.default_rng(seed + 1)
-    batch = [rng.uniform(-1, 1, (cfg.full_resolution,) * 3).astype(np.float32)
-             for _ in range(batch_size)]
-    labels = _labels(cfg, batch_size)
-    train_step(state, batch, labels)        # warm-up allocates Adam moments
-    params_b = sum(p.data.nbytes for p in state.store.params.values())
-    opt_b = sum(m.nbytes + v.nbytes for m, v, _ in state.store.adam_state.values())
-    rep = measured_memory(lambda: train_step(state, batch, labels), mode=mode)
-    rep.params_bytes = params_b
-    rep.optimizer_bytes = opt_b
-    rep.peak_total += params_b + opt_b
-    rep.config = asdict(cfg)
-    return rep
-
-
-def measured_inference_peak(cfg: NetConfig, seed: int = 0) -> MemoryReport:
-    nets = build_model_set(cfg, np.random.default_rng(seed))
-    z = np.random.default_rng(seed + 1).standard_normal(cfg.latent_dim).astype(np.float32)
-    c = 0 if cfg.num_classes else None
-    params_b = sum(p.data.nbytes for p in nets.store.params.values())
-    rep = measured_memory(lambda: generate_full(nets, z, c=c), mode="inference")
-    rep.params_bytes = params_b
-    rep.peak_total += params_b
-    rep.config = asdict(cfg)
-    rep.check()
-    return rep
 
 
 def resolution_sweep(cfg_template: NetConfig, resolutions,

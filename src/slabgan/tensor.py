@@ -61,8 +61,7 @@ DEFAULT_DTYPE = np.float32
 
 
 class LiveSet:
-    """Running count of live activation and gradient bytes over a fixed
-    ``static_bytes`` floor (parameters, optimizer moments).
+    """Running count of live activation and gradient bytes.
 
     Every allocation and every free of a counted buffer goes through
     ``add`` (frees with negative sizes). ``peak_total`` is the highest
@@ -70,14 +69,13 @@ class LiveSet:
     ``peak_grad_bytes`` are the split at that moment.
     """
 
-    def __init__(self, static_bytes: int = 0):
-        self.static_bytes = static_bytes
+    def __init__(self):
         self.act_bytes = 0
         self.grad_bytes = 0
         self.reset_peak()
 
     def current_total(self) -> int:
-        return self.static_bytes + self.act_bytes + self.grad_bytes
+        return self.act_bytes + self.grad_bytes
 
     def reset_peak(self) -> None:
         self.peak_total = self.current_total()
@@ -90,7 +88,7 @@ class LiveSet:
         raise the peak."""
         self.act_bytes += act
         self.grad_bytes += grad
-        total = self.static_bytes + self.act_bytes + self.grad_bytes
+        total = self.act_bytes + self.grad_bytes
         if total > self.peak_total:
             self.peak_total = total
             self.peak_act_bytes = self.act_bytes

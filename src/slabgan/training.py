@@ -177,13 +177,17 @@ def step_guard(state):
     only place a training step is counted. On any exception out of the
     block ``step`` stays as it was and the gradient tape is cleared, so no
     activation stays pinned. If no optimizer update ran before it, the
-    rng is put back too, so the step leaves the state as it found it and
-    a retry draws the same windows and latents. After an update the rng
-    stays where it is: the updated phases keep their changes, and a retry
-    must not apply them again to the same data. Parameters are each
-    phase's concern: it checks its loss before it updates them.
+    rng and the non-trainable buffers (spectral-norm vectors and running
+    statistics, which every training forward updates in place) are put
+    back too, so the step leaves the state as it found it and a retry
+    draws the same windows and latents and computes the same losses.
+    After an update both stay where they are: the updated phases keep
+    their changes, and a retry must not apply them again to the same
+    data. Parameters are each phase's concern: it checks its loss before
+    it updates them.
     """
     rng_state = state.rng.bit_generator.state
+    buffers = {name: b.copy() for name, b in state.store.buffers.items()}
     updates = _adam_updates(state.store)
     try:
         yield
@@ -191,6 +195,8 @@ def step_guard(state):
         T.active_tape().clear()
         if _adam_updates(state.store) == updates:
             state.rng.bit_generator.state = rng_state
+            for name, b in buffers.items():
+                state.store.buffers[name][...] = b
         raise
     state.step += 1
 

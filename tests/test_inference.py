@@ -11,7 +11,7 @@ from slabgan.inference import (LatentCode, LatentDirection, encode_full,
                                r_squared, reconstruct, ridge_fit,
                                ridge_predict, traverse)
 from slabgan.networks import build_model_set, desk_config
-from slabgan.tensor import METER, ShapeError
+from slabgan.tensor import METER, ShapeError, Tensor, no_grad
 
 
 @pytest.fixture(scope="module")
@@ -43,9 +43,14 @@ class TestGenerateFull:
         generate_full(nets, z64)
         assert METER.grad_bytes == before == 0
 
-    def test_want_low(self, nets, z64):
-        high, low = generate_full(nets, z64, want_low=True)
-        assert high.shape == (1, 64, 64, 64)
+    def test_low_resolution_head(self, nets, z64):
+        """The low-resolution head decodes the same trunk output A as the
+        high-resolution one ``generate_full`` returns."""
+        with no_grad():
+            a = nets.g_a(nets.latent_input(Tensor(z64), None), training=False)
+            high = nets.g_h(a, training=False).data
+            low = nets.g_l(a, training=False).data
+        assert np.array_equal(high, generate_full(nets, z64))
         assert low.shape == (1, 16, 16, 16)
 
     def test_latent_length_checked(self, nets):

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from slabgan.memory import (MemoryReport, _priced_state, analytic_memory,
-                            high_res_branch_bytes, measured_inference_peak, measured_memory,
-                            measured_train_peak, resolution_sweep)
+from slabgan.memory import (MemoryReport, _priced_model_set, analytic_memory,
+                            high_res_branch_bytes, measured_memory, measured_peak,
+                            resolution_sweep)
 from slabgan.networks import desk_config, parameter_count, reference_config, symbolic_model_set
 from slabgan.tensor import METER, active_tape
-from slabgan.training import init_train_state, train_step
+from slabgan.training import LossWeights, TrainState, init_train_state, train_step
 
 DESK = desk_config()
 
@@ -75,7 +75,7 @@ class TestAmortizationLaw:
 class TestMeasured:
     def test_amortized_within_quarter_of_analytic(self):
         a = analytic_memory(DESK, "train_amortized").peak_total
-        m = measured_train_peak(DESK, "train_amortized", seed=0).peak_total
+        m = measured_peak(DESK, "train_amortized", seed=0).peak_total
         assert abs(a - m) / m < 0.25
 
     @pytest.mark.parametrize("res", [32, 64, 128])
@@ -85,29 +85,41 @@ class TestMeasured:
         high at 128^3."""
         cfg = desk_config(full_resolution=res)
         a = analytic_memory(cfg, "train_amortized").peak_total
-        m = measured_train_peak(cfg, "train_amortized", seed=0).peak_total
+        m = measured_peak(cfg, "train_amortized", seed=0).peak_total
         assert abs(a - m) / m < 0.10
 
     def test_full_within_quarter_of_analytic(self):
         a = analytic_memory(DESK, "train_full").peak_total
-        m = measured_train_peak(DESK, "train_full", seed=0).peak_total
+        m = measured_peak(DESK, "train_full", seed=0).peak_total
         assert abs(a - m) / m < 0.25
 
     def test_amortized_at_most_half_of_full(self):
-        m_am = measured_train_peak(DESK, "train_amortized", seed=1).peak_total
-        m_full = measured_train_peak(DESK, "train_full", seed=1).peak_total
+        m_am = measured_peak(DESK, "train_amortized", seed=1).peak_total
+        m_full = measured_peak(DESK, "train_full", seed=1).peak_total
         assert m_am <= 0.5 * m_full
 
     def test_inference_below_training_and_gradfree(self):
-        m_inf = measured_inference_peak(DESK, seed=2)
-        m_tr = measured_train_peak(DESK, "train_amortized", seed=2)
+        m_inf = measured_peak(DESK, "inference", seed=2)
+        m_tr = measured_peak(DESK, "train_amortized", seed=2)
         assert m_inf.peak_total < m_tr.peak_total
         assert m_inf.grads_bytes == 0
 
     def test_inference_within_quarter_of_analytic(self):
         a = analytic_memory(DESK, "inference").peak_total
-        m = measured_inference_peak(DESK, seed=3).peak_total
+        m = measured_peak(DESK, "inference", seed=3).peak_total
         assert abs(a - m) / m < 0.25
+
+    @pytest.mark.parametrize("num_classes", [None, 5])
+    @pytest.mark.parametrize("batch_size", [1, 2])
+    @pytest.mark.parametrize("mode", ["train_amortized", "train_full", "inference"])
+    def test_byte_exact_at_desk_32(self, mode, batch_size, num_classes):
+        """The stand-in step prices every byte the real one holds: peak
+        and split agree exactly."""
+        cfg = desk_config(full_resolution=32, num_classes=num_classes)
+        a = analytic_memory(cfg, mode, batch_size)
+        m = measured_peak(cfg, mode, batch_size)
+        assert ((a.peak_total, a.activations_bytes, a.grads_bytes)
+                == (m.peak_total, m.activations_bytes, m.grads_bytes))
 
 
 class TestStandInStep:
@@ -125,7 +137,8 @@ class TestStandInStep:
         store = real.store
         real_static = sum(p.data.nbytes for p in store.params.values()) + sum(
             m.nbytes + v.nbytes for m, v, _ in store.adam_state.values())
-        priced = _priced_state(cfg)
+        priced = TrainState(nets=_priced_model_set(cfg), rng=np.random.default_rng(0),
+                            weights=LossWeights())
         priced_static = 3 * sum(p.param_bytes for p in priced.store.params.values())
         zeros = [np.zeros((res,) * 3, np.float32)] * 2
         ratios = {}
@@ -181,12 +194,12 @@ class TestMeter:
 
     @pytest.mark.parametrize("mode", ["train_amortized", "train_full"])
     def test_measured_split_adds_up(self, mode):
-        rep = measured_train_peak(DESK, mode, seed=0)
+        rep = measured_peak(DESK, mode, seed=0)
         assert rep.grads_bytes > 0
         assert (rep.params_bytes + rep.optimizer_bytes + rep.activations_bytes
                 + rep.grads_bytes == rep.peak_total)
 
     def test_measured_inference_split_adds_up(self):
-        rep = measured_inference_peak(DESK, seed=0)
+        rep = measured_peak(DESK, "inference", seed=0)
         assert rep.grads_bytes == 0
         assert rep.params_bytes + rep.activations_bytes == rep.peak_total

@@ -946,19 +946,19 @@ class TestLiveSet:
         return T.METER.act_bytes, T.METER.grad_bytes
 
     def test_split_at_peak(self):
-        s = T.LiveSet(static_bytes=100)
-        assert (s.peak_total, s.peak_act_bytes, s.peak_grad_bytes) == (100, 0, 0)
+        s = T.LiveSet()
+        assert (s.peak_total, s.peak_act_bytes, s.peak_grad_bytes) == (0, 0, 0)
         assert s.add(50) == 50
-        assert s.add(grad=30) == 30                     # 180: the peak
+        assert s.add(grad=30) == 30                     # 80: the peak
         s.add(-50)
-        s.add(grad=40)                                  # 170: below the peak
-        assert (s.peak_total, s.peak_act_bytes, s.peak_grad_bytes) == (180, 50, 30)
-        assert (s.act_bytes, s.grad_bytes, s.current_total()) == (0, 70, 170)
-        s.add(grad=20)                                  # 190: a new peak
-        assert (s.peak_total, s.peak_act_bytes, s.peak_grad_bytes) == (190, 0, 90)
+        s.add(grad=40)                                  # 70: below the peak
+        assert (s.peak_total, s.peak_act_bytes, s.peak_grad_bytes) == (80, 50, 30)
+        assert (s.act_bytes, s.grad_bytes, s.current_total()) == (0, 70, 70)
+        s.add(grad=20)                                  # 90: a new peak
+        assert (s.peak_total, s.peak_act_bytes, s.peak_grad_bytes) == (90, 0, 90)
         s.add(grad=-90)
         s.reset_peak()
-        assert (s.peak_total, s.peak_act_bytes, s.peak_grad_bytes) == (100, 0, 0)
+        assert (s.peak_total, s.peak_act_bytes, s.peak_grad_bytes) == (0, 0, 0)
 
     def test_tensor_releases_payload_and_grad(self):
         before = self._counts()

@@ -318,6 +318,23 @@ class TestTrainStep:
         assert state.step == 0
         assert state.rng.bit_generator.state == rng_before
 
+    def test_diverged_step_puts_back_buffers(self):
+        """Every training forward updates the spectral-norm vectors and
+        running statistics in place. A step that diverges before any update
+        puts them back, so once the weight is mended a retry logs what a
+        state that never failed logs."""
+        vols = [np.random.default_rng(33).uniform(-1, 1, (32, 32, 32)).astype(np.float32)]
+        clean, state = tiny_state(32), tiny_state(32)
+        buffers = {name: b.tobytes() for name, b in state.store.buffers.items()}
+        w = state.store.params["g_h/conv1/weight"].data
+        saved = w.flat[0]
+        w.flat[0] = np.nan
+        with pytest.raises(TrainingDiverged):
+            train_step(state, vols)
+        assert {name: b.tobytes() for name, b in state.store.buffers.items()} == buffers
+        w.flat[0] = saved
+        assert format_report(train_step(state, vols)) == format_report(train_step(clean, vols))
+
     @pytest.mark.parametrize("bad", ["depth", "nan", "scaled"])
     def test_bad_volume_rejected(self, bad):
         state = tiny_state(34)

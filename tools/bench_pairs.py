@@ -5,9 +5,10 @@
         --claim infer128:peak_rss_mb --out BENCH_14.json
 
 Both revisions are exported with ``git archive`` into fresh directories
-(``--workdir``, a temporary directory by default), so each side runs only
-its committed files. Pair k gives both sides seed ``first_seed + k``; the
-parent runs first for even k and the change first for odd k. Each run is
+under ``--workdir``, which is kept, or else under a temporary directory
+removed at exit, so each side runs only its committed files. Pair k
+gives both sides seed ``first_seed + k``; the parent runs first for even
+k and the change first for odd k. Each run is
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
@@ -22,6 +23,7 @@ declared direction), plus the failed operations per side; the shape
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -106,32 +108,34 @@ def main(argv=None) -> int:
             ap.error(f"claim {args.claim} names no measured workload and metric")
         claim = {"workload": workload, "metric": metric}
 
-    workdir = args.workdir or tempfile.mkdtemp(prefix="bench_pairs-")
-    dirs = {side: os.path.join(workdir, side) for side in ("parent", "change")}
-    shas = {side: export(getattr(args, side), d) for side, d in dirs.items()}
-    record = {"parent": shas["parent"], "change": shas["change"],
-              "run_seconds": args.seconds,
-              "command": " ".join(RUN) + f" --workload W --seed S --seconds {args.seconds:g}"
-                         " --trace 0",
-              "order": "pair k runs the parent first for even k and the change first for odd k",
-              "claim": claim, "workloads": {}}
-    for workload in args.workloads:
-        seeds = [args.first_seed + k for k in range(args.pairs)]
-        results = {"parent": [], "change": []}
-        for k, seed in enumerate(seeds):
-            for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
-                res = run_once(dirs[side], workload, seed, args.seconds)
-                results[side].append(res)
-                print(f"{workload} pair {k} seed {seed} {side}: "
-                      + ", ".join(f"{n}={m['value']:.4g}" for n, m in res["metrics"].items()),
-                      file=sys.stderr, flush=True)
-        record["workloads"][workload] = {
-            "seeds": seeds, "pairs": args.pairs,
-            "failed_ops": {side: sum(r["failed"] for r in results[side]) for side in results},
-            "metrics": summarize(results, declared)}
-        with open(args.out, "w") as f:          # after each workload, so a cut run keeps some
-            json.dump(record, f, indent=1)
-            f.write("\n")
+    with (contextlib.nullcontext(args.workdir) if args.workdir
+          else tempfile.TemporaryDirectory(prefix="bench_pairs-")) as workdir:
+        dirs = {side: os.path.join(workdir, side) for side in ("parent", "change")}
+        shas = {side: export(getattr(args, side), d) for side, d in dirs.items()}
+        record = {"parent": shas["parent"], "change": shas["change"],
+                  "run_seconds": args.seconds,
+                  "command": " ".join(RUN) + f" --workload W --seed S --seconds {args.seconds:g}"
+                             " --trace 0",
+                  "order": "pair k runs the parent first for even k"
+                           " and the change first for odd k",
+                  "claim": claim, "workloads": {}}
+        for workload in args.workloads:
+            seeds = [args.first_seed + k for k in range(args.pairs)]
+            results = {"parent": [], "change": []}
+            for k, seed in enumerate(seeds):
+                for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
+                    res = run_once(dirs[side], workload, seed, args.seconds)
+                    results[side].append(res)
+                    print(f"{workload} pair {k} seed {seed} {side}: "
+                          + ", ".join(f"{n}={m['value']:.4g}" for n, m in res["metrics"].items()),
+                          file=sys.stderr, flush=True)
+            record["workloads"][workload] = {
+                "seeds": seeds, "pairs": args.pairs,
+                "failed_ops": {side: sum(r["failed"] for r in results[side]) for side in results},
+                "metrics": summarize(results, declared)}
+            with open(args.out, "w") as f:          # after each workload, so a cut run keeps some
+                json.dump(record, f, indent=1)
+                f.write("\n")
     return 0
 
 
