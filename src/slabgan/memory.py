@@ -46,9 +46,14 @@ of the padded input planes of a run of output slices (a few planes of
 the input, never the whole padded volume) plus an unfold buffer of at
 most ``tensor.CONV_WORKSPACE_BYTES`` (the depth and width taps, with the
 row taps read as offset views); neither grows with the volume's depth.
-Its input gradient is one such correlation of the output gradient, so
-backward adds only the correlation's own output, about the size of the
-input gradient, from which the stride phases are interleaved.
+Its input gradient is one such correlation of the output gradient. At
+stride 1 that correlation's output is the input gradient itself; at
+larger strides backward adds it, about the size of the input gradient,
+and interleaves the stride phases from it. Group norm and leaky ReLU
+write into their output and hold nothing input-sized beyond it, so a
+no-grad pass through them adds no uncounted workspace of the input's
+size; group norm's backward adds two input-sized buffers (the recomputed
+normalized input and one product buffer).
 
 A conv that reads the x2 upsample of its input is one listing row
 (``UpConv3d``, "Conv3D 3x3x3, 1 after x2 Interpolation"). Without a tape

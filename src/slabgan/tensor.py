@@ -23,7 +23,12 @@ parameter from an activation, and it does not count Adam moments;
 memory reports take both as static bytes from the ParamStore.
 Raw numpy temporaries inside ops (op workspace) are intentionally not
 counted. Some are payload-sized (an output gradient, conv3d's input
-gradient before its stride phases are interleaved). conv3d never pads
+gradient before its stride phases are interleaved, at strides above 1).
+group_norm and leaky_relu work in the buffer they return and hold nothing
+input-sized beyond it; group_norm's backward holds the recomputed
+normalized input and one product buffer beside the input gradient it
+hands over. An op hands over a gradient array it owns without a copy.
+conv3d never pads
 its input (or, for the input gradient, its output gradient) whole: it
 copies the padded input planes of a run of output slices into one reused
 slab, and unfolds a chunk of output slices or rows at a time from that
@@ -441,12 +446,22 @@ def relu(a: Tensor) -> Tensor:
 
 
 def leaky_relu(a: Tensor, alpha: float = 0.2) -> Tensor:
+    """``x`` where ``x > 0``, else ``alpha * x``, for a slope ``0 <= alpha <= 1``.
+
+    The maximum of ``x`` and ``alpha * x`` picks the same operand as that
+    select for every input, ±0, ±inf and NaN included, and needs no
+    input-sized temporary beyond the output.
+    """
     ad = a.data
 
     def bwd(g):
         if a.requires_grad:
-            a.accumulate_grad(g * np.where(ad > 0, 1.0, alpha).astype(ad.dtype))
-    return _make(np.where(ad > 0, ad, alpha * ad), (a,), bwd)
+            gx = g * ad.dtype.type(alpha)
+            np.copyto(gx, g, where=ad > 0)
+            a.accumulate_grad(gx)
+    out = ad * alpha
+    np.maximum(ad, out, out=out)
+    return _make(out, (a,), bwd)
 
 
 def elu(a: Tensor, alpha: float = 1.0) -> Tensor:
@@ -854,13 +869,17 @@ def _conv3d(x: Tensor, w: Tensor, b: Tensor, stride, pad) -> Tensor:
             ext = tuple(-(-n // s) for n, s in zip((d, h, wdt), stride))
             gc = g[:, max(lo[0], 0):, max(lo[1], 0):, max(lo[2], 0):]
             gp = _correlate(gc, [max(-n, 0) for n in lo], wg, (1, 1, 1), ext)
-            gp = gp.reshape((cin,) + stride + ext)
-            # interleave the phases: gx[:, s*m + r] = gp[:, r, m]
-            gx = np.empty(xd.shape, xd.dtype)
-            for r in np.ndindex(*stride):
-                dst = gx[:, r[0]::stride[0], r[1]::stride[1], r[2]::stride[2]]
-                np.copyto(dst, gp[(slice(None),) + r + tuple(map(slice, dst.shape[1:]))])
-            x.accumulate_grad(gx)
+            # at stride 1 in x's dtype, gp is the input gradient itself and
+            # owns its buffer, so it is handed over without a copy
+            if stride != (1, 1, 1) or gp.dtype != xd.dtype:
+                gp = gp.reshape((cin,) + stride + ext)
+                # interleave the phases: gx[:, s*m + r] = gp[:, r, m]
+                gx = np.empty(xd.shape, xd.dtype)
+                for r in np.ndindex(*stride):
+                    dst = gx[:, r[0]::stride[0], r[1]::stride[1], r[2]::stride[2]]
+                    np.copyto(dst, gp[(slice(None),) + r + tuple(map(slice, dst.shape[1:]))])
+                gp = gx
+            x.accumulate_grad(gp)
     return _make(out, (x, w, b), bwd)
 
 
@@ -872,6 +891,17 @@ def group_norm(x: Tensor, groups: int, gamma: Tensor, beta: Tensor,
     slice) over (C/groups, H, W) only. That variant is translation
     covariant along depth, which is what lets a decoder trained on depth
     windows run on the full volume with identical interior output.
+
+    The forward works in the buffer it returns: it holds ``x - mu``, then
+    its square for the variance, then ``x - mu`` again, scaled by the
+    inverse deviation, ``gamma`` and ``beta`` in place. The backward
+    recomputes the normalized input into one buffer and builds the input
+    gradient in another, which it hands over without a copy; one more
+    buffer holds the products. Each step is the same float operation on
+    the same operands as the textbook expression, so the bits do not
+    depend on the buffers; that holds when x, gamma, beta and the output
+    gradient share a dtype, as they do in every network here (a wider
+    gamma or beta is rounded to x's dtype after each affine step).
     """
     xd = x.data
     c, d, h, w = xd.shape
@@ -880,37 +910,47 @@ def group_norm(x: Tensor, groups: int, gamma: Tensor, beta: Tensor,
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise ShapeError("group_norm affine parameters must have shape (C,)")
     if per_depth_slice:
-        xg = xd.reshape(groups, c // groups, d, h * w)
+        layout = (groups, c // groups, d, h * w)
         axes = (1, 3)          # stats over (channels-in-group, H*W) per slice
     else:
-        xg = xd.reshape(groups, -1)
+        layout = (groups, -1)
         axes = (1,)
+    xg = xd.reshape(layout)
     mu = xg.mean(axis=axes, keepdims=True)
-    var = ((xg - mu) ** 2).mean(axis=axes, keepdims=True)
+    out = np.empty(xd.shape, xd.dtype)
+    t = out.reshape(layout)
+    np.subtract(xg, mu, out=t)
+    np.square(t, out=t)
+    var = t.mean(axis=axes, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = ((xg - mu) * inv).reshape(c, d, h, w)
-    out = gamma.data[:, None, None, None] * xhat + beta.data[:, None, None, None]
+    np.subtract(xg, mu, out=t)
+    t *= inv
+    out *= gamma.data[:, None, None, None]
+    out += beta.data[:, None, None, None]
     n_stat = int(np.prod([xg.shape[ax] for ax in axes]))
 
     def bwd(g):
-        xh = ((xg - mu) * inv).reshape(c, d, h, w)
+        xhg = xg - mu
+        xhg *= inv
+        xh = xhg.reshape(c, d, h, w)
+        tmp = np.empty_like(xh)
         if gamma.requires_grad:
-            gamma.accumulate_grad((g * xh).sum(axis=(1, 2, 3)))
+            gamma.accumulate_grad(np.multiply(g, xh, out=tmp).sum(axis=(1, 2, 3)))
         if beta.requires_grad:
             beta.accumulate_grad(g.sum(axis=(1, 2, 3)))
         if x.requires_grad:
-            gh = (g * gamma.data[:, None, None, None])
-            if per_depth_slice:
-                gh = gh.reshape(groups, c // groups, d, h * w)
-                xhg = xh.reshape(groups, c // groups, d, h * w)
-            else:
-                gh = gh.reshape(groups, -1)
-                xhg = xh.reshape(groups, -1)
+            gx = g * gamma.data[:, None, None, None]
+            gh, th = gx.reshape(layout), tmp.reshape(layout)
             s1 = gh.sum(axis=axes, keepdims=True)
-            s2 = (gh * xhg).sum(axis=axes, keepdims=True)
-            gx = inv / n_stat * (n_stat * gh - s1 - xhg * s2)
-            x.accumulate_grad(np.ascontiguousarray(gx.reshape(c, d, h, w), dtype=xd.dtype))
-    return _make(np.ascontiguousarray(out, dtype=xd.dtype), (x, gamma, beta), bwd)
+            s2 = np.multiply(gh, xhg, out=th).sum(axis=axes, keepdims=True)
+            np.multiply(xhg, s2, out=th)
+            # inv / n_stat * (n_stat * gh - s1 - xhg * s2), in that order
+            gh *= n_stat
+            gh -= s1
+            gh -= th
+            gh *= inv / n_stat
+            x.accumulate_grad(gx.astype(xd.dtype, copy=False))
+    return _make(out, (x, gamma, beta), bwd)
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,

@@ -115,6 +115,38 @@ def upconv3d_direct(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return conv3d_direct(up, np.asarray(w, np.float64), np.asarray(b, np.float64), 1, 1)
 
 
+def group_norm_direct(x, groups, gamma, beta, g, eps=1e-5, per_depth_slice=False):
+    """Group norm and its backward written as whole-array expressions, each
+    making fresh temporaries; the oracle that ``tensor.group_norm``'s
+    in-place buffers must match bit for bit. ``g`` is the output gradient;
+    returns (out, grad x, grad gamma, grad beta)."""
+    c, d, h, w = x.shape
+    if per_depth_slice:
+        xg, gshape, axes = x.reshape(groups, c // groups, d, h * w), (groups, c // groups, d, h * w), (1, 3)
+    else:
+        xg, gshape, axes = x.reshape(groups, -1), (groups, -1), (1,)
+    mu = xg.mean(axis=axes, keepdims=True)
+    var = ((xg - mu) ** 2).mean(axis=axes, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = ((xg - mu) * inv).reshape(c, d, h, w)
+    out = gamma[:, None, None, None] * xhat + beta[:, None, None, None]
+    n_stat = int(np.prod([xg.shape[ax] for ax in axes]))
+    gh = (g * gamma[:, None, None, None]).reshape(gshape)
+    xhg = xhat.reshape(gshape)
+    s1 = gh.sum(axis=axes, keepdims=True)
+    s2 = (gh * xhg).sum(axis=axes, keepdims=True)
+    gx = inv / n_stat * (n_stat * gh - s1 - xhg * s2)
+    return (out, gx.reshape(c, d, h, w), (g * xhat).sum(axis=(1, 2, 3)),
+            g.sum(axis=(1, 2, 3)))
+
+
+def leaky_relu_direct(x, alpha, g):
+    """Leaky ReLU and its input gradient as two selects; the oracle for
+    ``tensor.leaky_relu``. Returns (out, grad x) for output gradient ``g``."""
+    return (np.where(x > 0, x, alpha * x),
+            g * np.where(x > 0, 1.0, alpha).astype(x.dtype))
+
+
 def ellipsoid_mask_direct(extents, center, semi_axes) -> np.ndarray:
     """Whole-grid ellipsoid mask from three meshgrid copies; the oracle for
     the box-clipped masks of ``slabgan.phantoms``."""

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from conftest import (conv3d_direct, finite_difference, gradcheck, interp_matrix, rel_err,
-                      resample_dense, upconv3d_direct)
+from conftest import (conv3d_direct, finite_difference, gradcheck, group_norm_direct,
+                      interp_matrix, leaky_relu_direct, rel_err, resample_dense,
+                      upconv3d_direct)
 from slabgan import tensor as T
 from slabgan import optim
 from slabgan.layers import Conv3d, Interp
@@ -609,6 +610,43 @@ class TestGroupNorm:
                            per_depth_slice=True).data
         assert np.array_equal(full[:, 2:6], win)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("per_depth_slice", [False, True])
+    @pytest.mark.parametrize("shape,groups", [((6, 5, 3, 7), 1), ((6, 5, 3, 7), 3),
+                                              ((4, 3, 9, 2), 2), ((8, 2, 4, 4), 4)])
+    def test_bits_match_oracle(self, dtype, per_depth_slice, shape, groups):
+        """Output and the x, gamma and beta gradients equal the whole-array
+        expressions bit for bit, with gamma != 1 and beta != 0."""
+        rng = np.random.default_rng(sum(shape) + groups)
+        x = (3.0 * rng.standard_normal(shape) + 0.5).astype(dtype)
+        gamma = rng.uniform(0.5, 1.5, shape[0]).astype(dtype)
+        beta = rng.standard_normal(shape[0]).astype(dtype)
+        g = rng.standard_normal(shape).astype(dtype)
+        xt, gt, bt = (Tensor(a, requires_grad=True) for a in (x, gamma, beta))
+        out = T.group_norm(xt, groups, gt, bt, per_depth_slice=per_depth_slice)
+        # d(sum(out * g))/d(out) is exactly g
+        T.backward(T.tsum(T.mul(out, Tensor(g))))
+        want = group_norm_direct(x, groups, gamma, beta, g, per_depth_slice=per_depth_slice)
+        for got, ref in zip((out.data, xt.grad, gt.grad, bt.grad), want):
+            assert got.dtype == dtype and np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("per_depth_slice", [False, True])
+    def test_no_grad_peak_is_the_output(self, per_depth_slice):
+        """A no-grad call on a 4 MiB float32 input allocates its output and
+        small statistics only; holding ``x - mu``, its square and the
+        normalized input as separate temporaries peaked at 12 MiB."""
+        x = np.random.default_rng(7).standard_normal((16, 16, 64, 64)).astype(np.float32)
+        gamma = Tensor(np.full(16, 1.5, np.float32))
+        beta = Tensor(np.full(16, 0.25, np.float32))
+        with T.no_grad():
+            tracemalloc.start()
+            try:
+                T.group_norm(Tensor(x), 4, gamma, beta, per_depth_slice=per_depth_slice)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < x.nbytes + 2 ** 18, f"traced peak {peak / 2 ** 20:.2f} MiB"
+
 
 class TestSpectralNorm:
     def test_identity_unchanged(self):
@@ -658,6 +696,25 @@ class TestActivations:
     def test_leaky_relu_slope(self):
         out = T.leaky_relu(Tensor(np.array([-1.0])), alpha=0.2)
         assert np.isclose(out.data[0], -0.2)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_leaky_relu_bytes_match_oracle(self, dtype):
+        """Output and input gradient equal the two selects byte for byte,
+        for ±0, ±inf, NaN, subnormals and ordinary values alike."""
+        tiny = np.finfo(dtype).smallest_subnormal
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, tiny, -tiny, 1.0, -1.0],
+                           dtype)
+        rng = np.random.default_rng(8)
+        x = np.concatenate([special, rng.standard_normal(53).astype(dtype)]).reshape(7, 9)
+        g = rng.standard_normal(x.shape).astype(dtype)
+        xt = Tensor(x, requires_grad=True)
+        out = T.leaky_relu(xt, alpha=0.2)
+        with np.errstate(invalid="ignore"):     # the loss sums inf and -inf
+            T.backward(T.tsum(T.mul(out, Tensor(g))))
+        want_out, want_gx = leaky_relu_direct(x, 0.2, g)
+        assert out.data.dtype == xt.grad.dtype == dtype
+        assert out.data.tobytes() == want_out.tobytes()
+        assert xt.grad.tobytes() == want_gx.tobytes()
 
     def test_softmax_uniform(self):
         out = T.softmax(Tensor(np.zeros(5)), axis=-1)
