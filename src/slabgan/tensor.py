@@ -27,8 +27,8 @@ gradient before its stride phases are interleaved, at strides above 1).
 group_norm and leaky_relu work in the buffer they return and hold nothing
 input-sized beyond it; group_norm's backward holds the recomputed
 normalized input and one product buffer beside the input gradient it
-hands over. An op hands over a gradient array it owns without a copy.
-conv3d never pads
+hands over. ``accumulate_grad`` keeps a gradient array that owns its
+buffer as it is, and copies a view. conv3d never pads
 its input (or, for the input gradient, its output gradient) whole: it
 copies the padded input planes of a run of output slices into one reused
 slab, and unfolds a chunk of output slices or rows at a time from that
