@@ -90,6 +90,14 @@ def upsample2(vol: np.ndarray) -> np.ndarray:
 class SRGenerator:
     """Residual encoder-decoder: output = trilinear_up(x) + branch(x).
 
+    The decoder's conv reads the pair ``(up_dec(e), h)`` of the upsampled
+    encoder output ``e`` and the head's skip features ``h`` as one
+    channel concatenation, which is never built (``tensor.conv3d`` takes
+    a tuple). ``forward`` runs ``dec``'s layers itself, so the pair dies as
+    soon as that conv has run, before the norm and activation: ``e`` dies
+    once upsampled, ``h`` and the upsample after the decoder conv, and the
+    decoder output after the residual head.
+
     The branch ends in ``residual_head``, one ``UpConv3d`` that reads the x2
     upsample of the decoder output; without a gradient tape it does not
     build it. ``forward`` does not call ``up_out``: it stays an attribute
@@ -131,10 +139,15 @@ class SRGenerator:
         return sum(n.n_params() for n in (self.head, self.enc, self.dec, self.residual_head))
 
     def forward(self, lr: Tensor, training: bool = True) -> Tensor:
+        (_, conv), (_, norm), (_, act) = self.dec.layers
         h = self.head(lr, training)
-        e = self.enc(h, training)
-        d = self.dec(T.concat([self.up_dec.forward(e, training), h], axis=0), training)
+        u = self.up_dec.forward(self.enc(h, training), training)
+        d = conv.forward((u, h), training)
+        del u, h
+        d = norm.forward(d, training)
+        d = act.forward(d, training)
         res = self.residual_head(d, training)
+        del d
         base = self.up_res.forward(lr, training)
         return T.add(base, res)
 
@@ -165,10 +178,10 @@ def build_sr(cfg: SRConfig, seed: int, dtype=np.float32) -> SRState:
 _UP2 = Interp(2.0)
 
 
-def _disc_input(lr_sub: Tensor, hr_sub: Tensor, training: bool) -> Tensor:
-    """Channel-concatenate the upsampled LR window with an HR candidate."""
-    up = _UP2.forward(lr_sub, training)
-    return T.concat([up, hr_sub], axis=0)
+def _disc_input(lr_sub: Tensor, hr_sub: Tensor, training: bool) -> tuple:
+    """The upsampled LR window and an HR candidate, which the
+    discriminator's first conv reads as the channels of one input."""
+    return _UP2.forward(lr_sub, training), hr_sub
 
 
 def l1_norm(a: Tensor, b: Tensor) -> Tensor:

@@ -24,8 +24,9 @@ memory reports take both as static bytes from the ParamStore.
 Raw numpy temporaries inside ops (op workspace) are intentionally not
 counted. Some are payload-sized (an output gradient, conv3d's input
 gradient before its stride phases are interleaved, at strides above 1).
-group_norm and leaky_relu work in the buffer they return and hold nothing
-input-sized beyond it; group_norm's backward holds the recomputed
+group_norm, leaky_relu and elu work in the buffer they return and hold
+nothing input-sized beyond it (elu a boolean mask); batch_norm adds a
+one-channel float64 buffer. group_norm's backward holds the recomputed
 normalized input and one product buffer beside the input gradient it
 hands over. ``accumulate_grad`` keeps a gradient array that owns its
 buffer as it is, and copies a view. conv3d never pads
@@ -34,7 +35,9 @@ copies the padded input planes of a run of output slices into one reused
 slab, and unfolds a chunk of output slices or rows at a time from that
 slab into one reused buffer of at most ``CONV_WORKSPACE_BYTES``; the
 buffer holds the depth and width taps only, and the row taps are offset
-views of it.
+views of it. conv3d also takes a tuple of Tensors as its input, read as
+their concatenation along channels: each part's planes are copied into
+its own channel range of the slab, so the concatenation is never built.
 Resampling runs through its axis passes one chunk of channels
 (``INTERP_CHUNK_BYTES`` of output) at a time.
 """
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import warnings
 from typing import NamedTuple
 
@@ -465,13 +469,24 @@ def leaky_relu(a: Tensor, alpha: float = 0.2) -> Tensor:
 
 
 def elu(a: Tensor, alpha: float = 1.0) -> Tensor:
+    """``x`` where ``x > 0``, else ``alpha * expm1(x)``.
+
+    The forward builds ``alpha * expm1(min(x, 0))`` in the buffer it
+    returns and copies ``x`` over it where ``x > 0``; the backward reads
+    that output, which holds ``alpha * expm1(x)`` wherever the slope is not
+    1, so nothing input-sized but the output and a boolean mask is held.
+    """
     ad = a.data
-    neg = alpha * np.expm1(np.minimum(ad, 0))
-    out = np.where(ad > 0, ad, neg)
+    out = np.minimum(ad, 0)
+    np.expm1(out, out=out)
+    out *= alpha
+    np.copyto(out, ad, where=ad > 0)
 
     def bwd(g):
         if a.requires_grad:
-            a.accumulate_grad(g * np.where(ad > 0, 1.0, neg + alpha).astype(ad.dtype))
+            slope = out + alpha
+            np.copyto(slope, 1.0, where=ad > 0)
+            a.accumulate_grad(g * slope)
     return _make(out, (a,), bwd)
 
 
@@ -643,20 +658,23 @@ def _slab_slices(nz: int, kd: int, sd: int) -> int:
     return nz * max(1, -(-4 * (kd - sd) // (sd * nz)))
 
 
-def _unfold_chunks(x: np.ndarray, pad, ksize, stride, out_shape):
-    """Row-shifted im2col of a ``(C, D, H, W)`` array zero-padded by ``pad``,
-    a chunk at a time.
+def _unfold_chunks(parts, pad, ksize, stride, out_shape):
+    """Row-shifted im2col of the channel concatenation of ``parts``, a
+    tuple of ``(C_i, D, H, W)`` arrays of one dtype, zero-padded by
+    ``pad``, a chunk at a time.
 
-    The padded input is never built whole. The input planes of a run of
-    output slices (``_slab_slices`` of them) are copied into one reused
-    slab of ``(C, planes, max(H + ph, (oh - 1)*sh + kh), ...)`` (likewise
-    along W) whose border is zero: the leading border is the pad, the
-    trailing one reaches as far as the output's windows, so a correlation
-    may read more zeros past the input's end than before its start (a
-    forward conv's slab is ``H + 2*ph`` rows or fewer). Planes outside
-    ``[0, D)`` are zeroed. The chunks' sliding windows are views of
-    that slab, so a plane is copied about once, plus the ``kd - sd``
-    planes that consecutive slabs share.
+    Neither the concatenation nor the padded input is built whole. The
+    input planes of a run of output slices (``_slab_slices`` of them) are
+    copied into one reused slab of ``(C, planes, max(H + ph, (oh - 1)*sh +
+    kh), ...)`` (likewise along W), each part into its own channel range,
+    whose border is zero: the leading border is the pad, the trailing one
+    reaches as far as the output's windows, so a correlation may read more
+    zeros past the input's end than before its start (a forward conv's
+    slab is ``H + 2*ph`` rows or fewer). Planes outside ``[0, D)`` are
+    zeroed. The chunks' sliding windows are views of that slab, so a plane
+    is copied about once, plus the ``kd - sd`` planes that consecutive
+    slabs share. The slab, and so everything unfolded from it, is the one
+    the concatenated array would give.
 
     A chunk of ``nz`` output slices and ``ny`` output rows is then copied
     once into a ``(nz, nr*C*kd*kw, (ny + nq - 1) * ow)`` buffer: per output
@@ -674,23 +692,26 @@ def _unfold_chunks(x: np.ndarray, pad, ksize, stride, out_shape):
     reads (past the input's last row) are left unset.
     """
     od, oh, ow = out_shape
-    cin, d, h, wdt = x.shape
+    x0 = parts[0]
+    _, d, h, wdt = x0.shape
     pd, ph, pw = pad
     kd, kh, kw = ksize
     sd, sh, sw = stride
+    bounds = list(itertools.accumulate((len(p) for p in parts), initial=0))
+    cin = bounds[-1]
     groups = _row_groups(kh, sh)
     k, halo = _unfold_rows(cin, ksize, stride)
     ck = cin * kd * kw
     buf = None
     s_end = 0
-    for zs, ys in _conv_chunks(k, out_shape, x.itemsize, halo):
+    for zs, ys in _conv_chunks(k, out_shape, x0.itemsize, halo):
         nz, ny = zs.stop - zs.start, ys.stop - ys.start
         t = ny + halo
         if buf is None:
-            buf = np.empty(nz * k * t * ow, x.dtype)
+            buf = np.empty(nz * k * t * ow, x0.dtype)
             ns = min(od, _slab_slices(nz, kd, sd))
             slab = np.zeros((cin, (ns - 1) * sd + kd, max(h + ph, (oh - 1) * sh + kh),
-                             max(wdt + pw, (ow - 1) * sw + kw)), x.dtype)
+                             max(wdt + pw, (ow - 1) * sw + kw)), x0.dtype)
             inner = slab[:, :, ph:ph + h, pw:pw + wdt]
             win = sliding_window_view(slab, (kd, kw), axis=(1, 3))[:, ::sd, :, ::sw][:, :, :, :ow]
             win = win.transpose(1, 0, 4, 5, 2, 3)    # (ns, C, kd, kw, Hp, ow)
@@ -701,7 +722,8 @@ def _unfold_chunks(x: np.ndarray, pad, ksize, stride, out_shape):
             lo = min(planes, max(0, -z0))
             hi = max(lo, min(planes, d - z0))
             inner[:, :lo] = 0
-            np.copyto(inner[:, lo:hi], x[:, z0 + lo:z0 + hi])
+            for p, c0, c1 in zip(parts, bounds, bounds[1:]):
+                np.copyto(inner[c0:c1, lo:hi], p[:, z0 + lo:z0 + hi])
             inner[:, hi:planes] = 0
         cols = buf[:nz * k * t * ow].reshape(nz, groups[0], cin, kd, kw, t, ow)
         for r in range(groups[0]):
@@ -759,13 +781,15 @@ def _chunk_view(a: np.ndarray, zs: slice, ys: slice) -> np.ndarray:
     return a.reshape(c, od, oh * ow)[:, zs, ys.start * ow:ys.stop * ow].transpose(1, 0, 2)
 
 
-def _correlate(x: np.ndarray, pad, w: np.ndarray, stride, out_shape) -> np.ndarray:
+def _correlate(parts, pad, w: np.ndarray, stride, out_shape) -> np.ndarray:
     """Unbiased cross-correlation of an input zero-padded by ``pad`` in
     front, and behind as far as ``out_shape``'s windows reach: per chunk,
-    the sum over row-shift groups of ``W_q @ view_q``, in group order."""
+    the sum over row-shift groups of ``W_q @ view_q``, in group order. The
+    input is the channel concatenation of ``parts``, a tuple of arrays
+    (see ``_unfold_chunks``)."""
     wq = _group_weights(w, stride[1])
-    out = np.empty((w.shape[0],) + tuple(out_shape), np.result_type(w, x))
-    for zs, ys, views in _unfold_chunks(x, pad, w.shape[2:], stride, out_shape):
+    out = np.empty((w.shape[0],) + tuple(out_shape), np.result_type(w, parts[0]))
+    for zs, ys, views in _unfold_chunks(parts, pad, w.shape[2:], stride, out_shape):
         dst = _chunk_view(out, zs, ys)
         np.matmul(wq[0], views[0], out=dst)
         for wm, v in zip(wq[1:], views[1:]):
@@ -773,16 +797,26 @@ def _correlate(x: np.ndarray, pad, w: np.ndarray, stride, out_shape) -> np.ndarr
     return out
 
 
-def conv3d(x: Tensor, w: Tensor, b: Tensor, stride=1, pad=0, upsample: bool = False) -> Tensor:
+def conv3d(x: Tensor | tuple, w: Tensor, b: Tensor, stride=1, pad=0,
+           upsample: bool = False) -> Tensor:
     """3D cross-correlation with zero padding.
 
     x: (C_in, D, H, W), w: (C_out, C_in, kd, kh, kw), b: (C_out,).
     Output extent per axis: floor((n + 2*pad - k) / stride) + 1.
 
+    ``x`` may also be a tuple of Tensors, read as their concatenation
+    along channels (``concat(parts, axis=0)``) without building it: the
+    parts share one dtype and one ``(D, H, W)``, and their channels add up
+    to C_in; anything else raises ShapeError. Each part's planes are copied
+    into its own channel range of the slab below, so the output and every
+    gradient are bit for bit those of the conv over the concatenation, and
+    backward splits the input gradient into the parts in channel order, as
+    ``concat``'s backward does.
+
     With ``upsample`` the correlation reads the half-pixel trilinear x2
-    upsample of x (``Interp(2.0)``) without building it: a 3^3 kernel at
-    stride 1 and pad 1 only, output ``(C_out, 2D, 2H, 2W)``; see
-    ``_upconv3d``.
+    upsample of x (``Interp(2.0)``) without building it: a single Tensor
+    and a 3^3 kernel at stride 1 and pad 1 only, output
+    ``(C_out, 2D, 2H, 2W)``; see ``_upconv3d``.
 
     The padded input is never built. ``_unfold_chunks`` copies the input
     planes of a run of output slices into one reused zero-bordered slab
@@ -821,18 +855,29 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor, stride=1, pad=0, upsample: bool = Fa
     if upsample:
         if stride != (1, 1, 1) or pad != (1, 1, 1):
             raise ValueError(f"upsample needs stride 1 and pad 1, got {stride}, {pad}")
+        if isinstance(x, tuple):
+            raise ShapeError("the x2 upsample-conv takes a single Tensor, not a tuple")
         return _upconv3d(x, w, b)
     return _conv3d(x, w, b, stride, pad)
 
 
-def _conv3d(x: Tensor, w: Tensor, b: Tensor, stride, pad) -> Tensor:
+def _conv3d(x: Tensor | tuple, w: Tensor, b: Tensor, stride, pad) -> Tensor:
     """``conv3d`` without ``upsample``; ``stride`` and ``pad`` are triples.
     The upsample path calls it directly, so a traced ``conv3d`` call stays
     one call."""
-    xd, wd = x.data, w.data
+    if isinstance(x, tuple):
+        parts, xs = x, tuple(p.data for p in x)
+        if not xs or any(a.ndim != 4 or a.shape[1:] != xs[0].shape[1:]
+                         or a.dtype != xs[0].dtype for a in xs):
+            raise ShapeError(f"conv3d parts must share dtype and (D, H, W): "
+                             f"{[(a.shape, a.dtype.name) for a in xs]}")
+    else:
+        parts, xs = (x,), (x.data,)
+    xd, wd = xs[0], w.data
     if xd.ndim != 4 or wd.ndim != 5:
         raise ShapeError(f"conv3d: x {xd.shape}, w {wd.shape}")
-    cin, d, h, wdt = xd.shape
+    _, d, h, wdt = xd.shape
+    cin = sum(len(a) for a in xs)
     cout, cin_w, kd, kh, kw = wd.shape
     if cin != cin_w:
         raise ShapeError(f"conv3d channel mismatch: input {cin}, weight {cin_w}")
@@ -845,7 +890,7 @@ def _conv3d(x: Tensor, w: Tensor, b: Tensor, stride, pad) -> Tensor:
             raise ShapeError(f"conv3d non-positive output extent: n={n} k={k} s={s} p={p}")
         outs.append(o)
 
-    out = _correlate(xd, pad, wd, stride, outs)
+    out = _correlate(xs, pad, wd, stride, outs)
     out += b.data[:, None, None, None]
     out = np.ascontiguousarray(out, dtype=xd.dtype)
 
@@ -856,7 +901,7 @@ def _conv3d(x: Tensor, w: Tensor, b: Tensor, stride, pad) -> Tensor:
             groups = _row_groups(kh, stride[1])
             gq = [np.zeros((cout, n * cin * kd * kw), np.result_type(g, xd)) for n in groups]
             gcont = np.ascontiguousarray(g)
-            for zs, ys, views in _unfold_chunks(xd, pad, (kd, kh, kw), stride, outs):
+            for zs, ys, views in _unfold_chunks(xs, pad, (kd, kh, kw), stride, outs):
                 gc = _chunk_view(gcont, zs, ys)
                 for acc, v in zip(gq, views):
                     acc += (gc @ v.transpose(0, 2, 1)).sum(axis=0)
@@ -864,23 +909,29 @@ def _conv3d(x: Tensor, w: Tensor, b: Tensor, stride, pad) -> Tensor:
             gw = np.concatenate([acc.reshape(cout, n, cin, kd, kw).transpose(0, 2, 3, 1, 4)
                                  for n, acc in zip(groups, gq)], axis=3)
             w.accumulate_grad(gw.astype(wd.dtype, copy=False))
-        if x.requires_grad:
+        if any(p.requires_grad for p in parts):
             lo, wg = _phase_weights(wd, stride, pad)
             ext = tuple(-(-n // s) for n, s in zip((d, h, wdt), stride))
             gc = g[:, max(lo[0], 0):, max(lo[1], 0):, max(lo[2], 0):]
-            gp = _correlate(gc, [max(-n, 0) for n in lo], wg, (1, 1, 1), ext)
+            gp = _correlate((gc,), [max(-n, 0) for n in lo], wg, (1, 1, 1), ext)
             # at stride 1 in x's dtype, gp is the input gradient itself and
-            # owns its buffer, so it is handed over without a copy
+            # owns its buffer, so a single part takes it without a copy
             if stride != (1, 1, 1) or gp.dtype != xd.dtype:
                 gp = gp.reshape((cin,) + stride + ext)
                 # interleave the phases: gx[:, s*m + r] = gp[:, r, m]
-                gx = np.empty(xd.shape, xd.dtype)
+                gx = np.empty((cin, d, h, wdt), xd.dtype)
                 for r in np.ndindex(*stride):
                     dst = gx[:, r[0]::stride[0], r[1]::stride[1], r[2]::stride[2]]
                     np.copyto(dst, gp[(slice(None),) + r + tuple(map(slice, dst.shape[1:]))])
                 gp = gx
-            x.accumulate_grad(gp)
-    return _make(out, (x, w, b), bwd)
+            if len(parts) == 1:
+                parts[0].accumulate_grad(gp)
+            else:
+                bounds = list(itertools.accumulate((len(a) for a in xs), initial=0))
+                for p, c0, c1 in zip(parts, bounds, bounds[1:]):
+                    if p.requires_grad:
+                        p.accumulate_grad(gp[c0:c1])
+    return _make(out, parts + (w, b), bwd)
 
 
 def group_norm(x: Tensor, groups: int, gamma: Tensor, beta: Tensor,
@@ -962,6 +1013,13 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
     statistics: normalization always uses the running estimates (treated
     as constants by the gradient), and training mode folds the current
     sample's spatial statistics into the running buffers afterwards.
+
+    The statistics are float64, so the normalized input is too. The
+    forward computes it one channel at a time in a one-channel float64
+    buffer and writes the affine result into the output, in x's dtype;
+    the backward recomputes the whole normalized input for gamma's
+    gradient instead of holding it on the tape. Each step is the same
+    float operation on the same operands as the whole-array expression.
     """
     xd = x.data
     mu = running_mean.copy()
@@ -972,18 +1030,25 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
         running_var *= (1.0 - momentum)
         running_var += momentum * xd.var(axis=(1, 2, 3))
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xd - mu[:, None, None, None]) * inv[:, None, None, None]
-    out = gamma.data[:, None, None, None] * xhat + beta.data[:, None, None, None]
+    out = np.empty(xd.shape, xd.dtype)
+    t = np.empty(xd.shape[1:], np.result_type(xd, mu, inv, gamma.data, beta.data))
+    for c in range(xd.shape[0]):
+        np.subtract(xd[c], mu[c], out=t)
+        t *= inv[c]
+        np.multiply(gamma.data[c], t, out=t)
+        t += beta.data[c]
+        out[c] = t
 
     def bwd(g):
         if gamma.requires_grad:
+            xhat = (xd - mu[:, None, None, None]) * inv[:, None, None, None]
             gamma.accumulate_grad((g * xhat).sum(axis=(1, 2, 3)))
         if beta.requires_grad:
             beta.accumulate_grad(g.sum(axis=(1, 2, 3)))
         if x.requires_grad:
             gx = g * (gamma.data * inv)[:, None, None, None]
             x.accumulate_grad(np.ascontiguousarray(gx, dtype=xd.dtype))
-    return _make(np.ascontiguousarray(out, dtype=xd.dtype), (x, gamma, beta), bwd)
+    return _make(out, (x, gamma, beta), bwd)
 
 
 # -- trilinear interpolation -------------------------------------------------
@@ -1308,20 +1373,20 @@ def _upconv3d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         return _conv3d(resize3d(x, plans), w, b, (1, 1, 1), (1, 1, 1))
     if h * wdt < UP2_FOLD_MIN_SLICE_PER_COUT * cout:
         u = _interp(xd, plans, (1, 2, 3))
-        out = _correlate(u, (1, 1, 1), wd, (1, 1, 1), u.shape[1:])
+        out = _correlate((u,), (1, 1, 1), wd, (1, 1, 1), u.shape[1:])
     else:
         xq = np.pad(xd, ((0, 0), (0, 0), (1, 1), (1, 1)), mode="edge")
         we = _up2_kernels(wd, depth_edge=True)
-        y = _correlate(xq, (1, 0, 0), _up2_kernels(wd), (1, 1, 1), ext)
-        y[:, :1] += _correlate(xq[:, :1], (0, 0, 0), we[:8 * cout], (1, 1, 1), (1, h, wdt))
-        y[:, -1:] += _correlate(xq[:, -1:], (0, 0, 0), we[8 * cout:], (1, 1, 1), (1, h, wdt))
+        y = _correlate((xq,), (1, 0, 0), _up2_kernels(wd), (1, 1, 1), ext)
+        y[:, :1] += _correlate((xq[:, :1],), (0, 0, 0), we[:8 * cout], (1, 1, 1), (1, h, wdt))
+        y[:, -1:] += _correlate((xq[:, -1:],), (0, 0, 0), we[8 * cout:], (1, 1, 1), (1, h, wdt))
         del xq
         out = np.empty((cout, 2 * d, 2 * h, 2 * wdt), y.dtype)
         _interleave(out, y.reshape((8, cout) + ext))
         del y
         for face_plans, stride, shape, sel in _up2_faces(ext, xd.dtype):
             u = _interp(xd, face_plans, (1, 2, 3))
-            out[sel] = _correlate(u, (1, 1, 1), wd, stride, shape)
+            out[sel] = _correlate((u,), (1, 1, 1), wd, stride, shape)
     out += b.data[:, None, None, None]
     return Tensor(np.ascontiguousarray(out, dtype=xd.dtype))
 

@@ -147,6 +147,54 @@ def leaky_relu_direct(x, alpha, g):
             g * np.where(x > 0, 1.0, alpha).astype(x.dtype))
 
 
+def elu_direct(x, alpha, g):
+    """ELU and its input gradient as selects over a separately built
+    negative branch; the oracle for ``tensor.elu``. Returns (out, grad x)
+    for output gradient ``g``."""
+    neg = alpha * np.expm1(np.minimum(x, 0))
+    return (np.where(x > 0, x, neg),
+            g * np.where(x > 0, 1.0, neg + alpha).astype(x.dtype))
+
+
+def batch_norm_direct(x, gamma, beta, running_mean, running_var, training, g,
+                      momentum=0.1, eps=1e-5):
+    """Batch norm by running statistics and its backward as whole-array
+    float64 expressions; the oracle for ``tensor.batch_norm``. Updates the
+    running buffers in place as the op does, and returns (out, grad x,
+    grad gamma, grad beta) for output gradient ``g``."""
+    mu = running_mean.copy()
+    var = running_var.copy()
+    if training:
+        running_mean *= (1.0 - momentum)
+        running_mean += momentum * x.mean(axis=(1, 2, 3))
+        running_var *= (1.0 - momentum)
+        running_var += momentum * x.var(axis=(1, 2, 3))
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu[:, None, None, None]) * inv[:, None, None, None]
+    out = gamma[:, None, None, None] * xhat + beta[:, None, None, None]
+    gx = g * (gamma * inv)[:, None, None, None]
+    return (np.ascontiguousarray(out, dtype=x.dtype), np.ascontiguousarray(gx, dtype=x.dtype),
+            (g * xhat).sum(axis=(1, 2, 3)), g.sum(axis=(1, 2, 3)))
+
+
+def sr_forward_concat(gen, lr, training=True):
+    """``SRGenerator.forward`` with the decoder and its skip input joined
+    by ``tensor.concat``; the oracle for the decoder conv that reads the
+    pair without building it."""
+    h = gen.head(lr, training)
+    e = gen.enc(h, training)
+    d = gen.dec(T.concat([gen.up_dec.forward(e, training), h], axis=0), training)
+    return T.add(gen.up_res.forward(lr, training), gen.residual_head(d, training))
+
+
+def sr_disc_input_concat(lr_sub, hr_sub, training):
+    """The SR discriminator's input as one ``tensor.concat`` of the
+    upsampled LR window and the HR candidate; the oracle for
+    ``sr._disc_input``'s pair."""
+    from slabgan.layers import Interp
+    return T.concat([Interp(2.0).forward(lr_sub, training), hr_sub], axis=0)
+
+
 def ellipsoid_mask_direct(extents, center, semi_axes) -> np.ndarray:
     """Whole-grid ellipsoid mask from three meshgrid copies; the oracle for
     the box-clipped masks of ``slabgan.phantoms``."""

@@ -4,8 +4,10 @@ consistency, loss gradients, training mechanics."""
 import numpy as np
 import pytest
 
-from conftest import gradcheck
+from conftest import gradcheck, sr_disc_input_concat, sr_forward_concat
+from slabgan import sr
 from slabgan import tensor as T
+from slabgan.memory import measured_memory
 from slabgan.networks import desk_config
 from slabgan.phantoms import phantom_generate
 from slabgan.sr import (SR_CONSISTENCY_MARGIN, PairedSample, SRConfig,
@@ -216,6 +218,29 @@ class TestSRTraining:
         b = [format_sr_report(r) for r in sr_train(build_sr(cfg, seed=18), vols, 3)]
         assert a == b
 
+    def test_pairs_match_concat_reference(self, monkeypatch):
+        """The decoder conv and the discriminator's first conv read their
+        (upsample, skip) and (upsampled LR, HR) pairs as channels without a
+        concat. Three steps log the same reports and leave the same
+        parameters and inference output, bit for bit, as the same steps run
+        through ``tensor.concat``."""
+        cfg = SRConfig(hr_resolution=32, subvol_len=4).validate()
+        vols = [p.hr for p in self._pairs(res=32)]
+        lr = np.random.default_rng(27).uniform(-1, 1, (16, 16, 16)).astype(np.float32)
+
+        def run():
+            state = build_sr(cfg, seed=28)
+            reports = [sr.format_sr_report(r) for r in sr_train(state, vols, 3)]
+            return reports, state.store.parameter_hash(), sr_infer(state, lr)
+
+        reports, phash, out = run()
+        monkeypatch.setattr(sr, "_disc_input", sr_disc_input_concat)
+        monkeypatch.setattr(SRGenerator, "__call__", sr_forward_concat)
+        want_reports, want_hash, want_out = run()
+        assert reports == want_reports
+        assert phash == want_hash
+        assert np.array_equal(out, want_out)
+
 
 class TestSRInfer:
     def test_factor_two_full_volume(self):
@@ -235,6 +260,16 @@ class TestSRInfer:
         monkeypatch.setattr(SRGenerator, "__call__", counted)
         sr_infer(state, np.zeros((32, 32, 32), np.float32))
         assert calls == [(1, 32, 32, 32)]
+
+    def test_decoder_pair_payload(self):
+        """At hr 64 the payload peaks at the decoder conv: its inputs, the
+        2 MiB upsample and the 1 MiB skip, its 1 MiB output and the
+        0.125 MiB input volume. Building their 3 MiB concat while the
+        0.5 MiB encoder output was still alive peaked at 6.625 MiB."""
+        state = build_sr(CFG, seed=29)
+        lr = np.random.default_rng(30).uniform(-1, 1, (32, 32, 32)).astype(np.float32)
+        peak = measured_memory(lambda: sr_infer(state, lr)).peak_total
+        assert peak <= 4.125 * 2 ** 20, f"payload peak {peak / 2 ** 20:.3f} MiB"
 
     def test_deterministic(self):
         state = build_sr(CFG, seed=21)

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from conftest import (conv3d_direct, finite_difference, gradcheck, group_norm_direct,
-                      interp_matrix, leaky_relu_direct, rel_err, resample_dense,
-                      upconv3d_direct)
+from conftest import (batch_norm_direct, conv3d_direct, elu_direct, finite_difference,
+                      gradcheck, group_norm_direct, interp_matrix, leaky_relu_direct,
+                      rel_err, resample_dense, upconv3d_direct)
 from slabgan import tensor as T
 from slabgan import optim
 from slabgan.layers import Conv3d, Interp
@@ -204,7 +204,7 @@ class TestConv3dChunked:
         k_rows, halo = T._unfold_rows(3, kt, st)
         bound = max(T.CONV_WORKSPACE_BYTES, k_rows * (1 + halo) * ow * x.itemsize)
         seen = np.zeros(out, int)
-        for zs, ys, views in T._unfold_chunks(x, pd, kt, st, out):
+        for zs, ys, views in T._unfold_chunks((x,), pd, kt, st, out):
             seen[zs, ys] += 1
             assert len(views) == -(-kh // st[1])
             for q, v in enumerate(views):
@@ -307,6 +307,99 @@ class TestConv3dChunked:
             tracemalloc.stop()
         assert out.shape == (1, 128, 128, 128)
         assert peak < 24 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MB"
+
+
+class TestConv3dParts:
+    """conv3d on a tuple of Tensors, read as their channel concatenation."""
+
+    @staticmethod
+    def _run(inputs, w, b, stride, pad, g):
+        """Output and gradients (inputs, then w and b) of the conv over
+        ``inputs``: a tuple of parts, or one Tensor."""
+        out = T.conv3d(inputs, w, b, stride, pad)
+        T.backward(T.tsum(T.mul(out, Tensor(g))))
+        leaves = (inputs if isinstance(inputs, tuple) else (inputs,)) + (w, b)
+        return out.data, [t.grad for t in leaves]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k,stride,pad", [(3, 1, 1), (4, 2, 1), ((1, 3, 3), 1, (0, 1, 1))])
+    @pytest.mark.parametrize("chans,needs", [((2, 3), (True, True)), ((2, 3), (False, True)),
+                                             ((1, 3, 2), (True, True, True)),
+                                             ((1, 3, 2), (True, False, True))])
+    def test_bits_match_concat(self, dtype, k, stride, pad, chans, needs):
+        """Output and the gradients of every part, w and b equal those of
+        the conv over ``concat(parts, axis=0)`` bit for bit; a part that
+        needs no gradient gets none."""
+        rng = np.random.default_rng(sum(chans) + len(chans))
+        kt = tuple(np.broadcast_to(k, 3))
+        arrays = [rng.standard_normal((c, 6, 10, 8)).astype(dtype) for c in chans]
+        w = rng.standard_normal((4, sum(chans)) + kt).astype(dtype)
+        b = rng.standard_normal(4).astype(dtype)
+        g = rng.standard_normal((4,) + _out_shape((1, 6, 10, 8), w.shape, stride, pad))
+        g = g.astype(dtype)
+
+        def leaves():
+            parts = tuple(Tensor(a, requires_grad=n) for a, n in zip(arrays, needs))
+            return parts, Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
+
+        parts, wt, bt = leaves()
+        out, grads = self._run(parts, wt, bt, stride, pad, g)
+        parts, wt, bt = leaves()
+        whole = T.concat(parts, axis=0)
+        want_out, _ = self._run(whole, wt, bt, stride, pad, g)
+        want = [p.grad for p in parts] + [wt.grad, bt.grad]
+        assert out.dtype == dtype and np.array_equal(out, want_out)
+        for got, ref, n in zip(grads, want, needs + (True, True)):
+            assert (got is None) == (not n) and (ref is None) == (not n)
+            assert got is None or (got.dtype == ref.dtype and np.array_equal(got, ref))
+
+    @pytest.mark.parametrize("k,stride,pad", [(3, 1, 1), (4, 2, 1)])
+    def test_bits_match_concat_across_slabs(self, monkeypatch, k, stride, pad):
+        """With one output row per chunk a deep volume spans several slabs,
+        each of which copies every part's planes into its channel range."""
+        rng = np.random.default_rng(31)
+        arrays = [rng.standard_normal((c, 21, 5, 4)) for c in (1, 2)]
+        w = rng.standard_normal((3, 3, k, k, k))
+        b = rng.standard_normal(3)
+        g = rng.standard_normal((3,) + _out_shape((1, 21, 5, 4), w.shape, stride, pad))
+        _shrink_workspace(monkeypatch, (3, 21, 5, 4), w.shape, stride, pad, 8, rows=True)
+        results = []
+        for joined in (False, True):
+            parts = tuple(Tensor(a, requires_grad=True) for a in arrays)
+            wt, bt = Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
+            out, _ = self._run(T.concat(parts, axis=0) if joined else parts,
+                               wt, bt, stride, pad, g)
+            results.append([out] + [t.grad for t in parts + (wt, bt)])
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
+
+    def test_gradcheck(self):
+        rng = np.random.default_rng(32)
+        arrays = [rng.standard_normal((2, 5, 6, 4)), rng.standard_normal((1, 5, 6, 4)),
+                  rng.standard_normal((3, 3, 3, 3, 3)) * 0.4, rng.standard_normal(3) * 0.1]
+        gradcheck(lambda a, c, w, b: T.tsum(T.square(T.conv3d((a, c), w, b, 1, 1))), arrays)
+
+    @pytest.mark.parametrize("shapes,dtypes", [(((2, 4, 4, 4), (1, 4, 4, 5)), (np.float32,) * 2),
+                                               (((2, 4, 4, 4), (1, 3, 4, 4)), (np.float32,) * 2),
+                                               (((2, 4, 4, 4), (1, 4, 4, 4)),
+                                                (np.float32, np.float64)),
+                                               (((2, 4, 4, 4), (2, 4, 4, 4)), (np.float32,) * 2),
+                                               (((2, 4, 4, 4), (1, 4, 4)), (np.float32,) * 2),
+                                               ((), ())])
+    def test_bad_parts_rejected(self, shapes, dtypes):
+        """Parts of another (D, H, W), dtype or rank, channels that do not
+        add up to the weight's C_in, and an empty tuple."""
+        parts = tuple(Tensor(np.zeros(s, d)) for s, d in zip(shapes, dtypes))
+        with pytest.raises(ShapeError):
+            T.conv3d(parts, Tensor(np.zeros((2, 3, 3, 3, 3), np.float32)),
+                     Tensor(np.zeros(2, np.float32)), 1, 1)
+
+    def test_upsample_takes_one_tensor(self):
+        parts = (Tensor(np.zeros((2, 4, 4, 4), np.float32)),
+                 Tensor(np.zeros((1, 4, 4, 4), np.float32)))
+        with pytest.raises(ShapeError):
+            T.conv3d(parts, Tensor(np.zeros((2, 3, 3, 3, 3), np.float32)),
+                     Tensor(np.zeros(2, np.float32)), 1, 1, upsample=True)
 
 
 def _upconv(x, w, b):
@@ -648,6 +741,49 @@ class TestGroupNorm:
         assert peak < x.nbytes + 2 ** 18, f"traced peak {peak / 2 ** 20:.2f} MiB"
 
 
+class TestBatchNorm:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("training", [False, True])
+    def test_bits_match_oracle(self, dtype, training):
+        """Output, the x, gamma and beta gradients and the running
+        statistics equal the whole-array float64 expressions bit for bit,
+        with gamma != 1 and beta != 0."""
+        rng = np.random.default_rng(33 + training)
+        x = (2.0 * rng.standard_normal((5, 3, 6, 7)) + 0.5).astype(dtype)
+        gamma = rng.uniform(0.5, 1.5, 5).astype(dtype)
+        beta = rng.standard_normal(5).astype(dtype)
+        g = rng.standard_normal(x.shape).astype(dtype)
+        mean0, var0 = rng.standard_normal(5), rng.uniform(0.5, 2.0, 5)
+        rm, rv = mean0.copy(), var0.copy()
+        xt, gt, bt = (Tensor(a, requires_grad=True) for a in (x, gamma, beta))
+        out = T.batch_norm(xt, gt, bt, rm, rv, training)
+        T.backward(T.tsum(T.mul(out, Tensor(g))))
+        want_rm, want_rv = mean0.copy(), var0.copy()
+        want = batch_norm_direct(x, gamma, beta, want_rm, want_rv, training, g)
+        for got, ref in zip((out.data, xt.grad, gt.grad, bt.grad, rm, rv),
+                            want + (want_rm, want_rv)):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        assert out.data.dtype == dtype
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_no_grad_peak_is_the_output(self, training):
+        """A no-grad call on a 4 MiB float32 input allocates its output, a
+        one-channel float64 buffer (0.5 MiB) and numpy's cast buffer; the
+        whole-array float64 expressions peaked at 24 MiB."""
+        x = np.random.default_rng(34).standard_normal((16, 16, 64, 64)).astype(np.float32)
+        gamma = Tensor(np.full(16, 1.5, np.float32))
+        beta = Tensor(np.full(16, 0.25, np.float32))
+        with T.no_grad():
+            tracemalloc.start()
+            try:
+                T.batch_norm(Tensor(x), gamma, beta, np.zeros(16), np.ones(16), training)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < x.nbytes + 2 * x.nbytes // 16 + 2 ** 17, \
+            f"traced peak {peak / 2 ** 20:.2f} MiB"
+
+
 class TestSpectralNorm:
     def test_identity_unchanged(self):
         w = Tensor(np.eye(3))
@@ -715,6 +851,41 @@ class TestActivations:
         assert out.data.dtype == xt.grad.dtype == dtype
         assert out.data.tobytes() == want_out.tobytes()
         assert xt.grad.tobytes() == want_gx.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("alpha", [1.0, 0.3, 1.7])
+    def test_elu_bytes_match_oracle(self, dtype, alpha):
+        """Output and input gradient equal the selects over a separately
+        built negative branch byte for byte, for ±0, ±inf, NaN, subnormals
+        and ordinary values alike."""
+        tiny = np.finfo(dtype).smallest_subnormal
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, tiny, -tiny, 1.0, -1.0],
+                           dtype)
+        rng = np.random.default_rng(35)
+        x = np.concatenate([special, 3.0 * rng.standard_normal(53).astype(dtype)]).reshape(7, 9)
+        g = rng.standard_normal(x.shape).astype(dtype)
+        xt = Tensor(x, requires_grad=True)
+        out = T.elu(xt, alpha=alpha)
+        with np.errstate(invalid="ignore"):     # the loss sums inf and -inf
+            T.backward(T.tsum(T.mul(out, Tensor(g))))
+        want_out, want_gx = elu_direct(x, alpha, g)
+        assert out.data.dtype == xt.grad.dtype == dtype
+        assert out.data.tobytes() == want_out.tobytes()
+        assert xt.grad.tobytes() == want_gx.tobytes()
+
+    def test_elu_no_grad_peak_is_the_output(self):
+        """A no-grad call on a 4 MiB float32 input allocates its output and
+        a 1 MiB boolean mask; the separate negative branch and select
+        peaked at 9 MiB."""
+        x = np.random.default_rng(36).standard_normal((16, 16, 64, 64)).astype(np.float32)
+        with T.no_grad():
+            tracemalloc.start()
+            try:
+                T.elu(Tensor(x))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < x.nbytes + x.size + 2 ** 16, f"traced peak {peak / 2 ** 20:.2f} MiB"
 
     def test_softmax_uniform(self):
         out = T.softmax(Tensor(np.zeros(5)), axis=-1)
