@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 import warnings
 from typing import NamedTuple
 
@@ -697,8 +696,7 @@ def _unfold_chunks(parts, pad, ksize, stride, out_shape):
     pd, ph, pw = pad
     kd, kh, kw = ksize
     sd, sh, sw = stride
-    bounds = list(itertools.accumulate((len(p) for p in parts), initial=0))
-    cin = bounds[-1]
+    cin = sum(len(p) for p in parts)
     groups = _row_groups(kh, sh)
     k, halo = _unfold_rows(cin, ksize, stride)
     ck = cin * kd * kw
@@ -722,8 +720,10 @@ def _unfold_chunks(parts, pad, ksize, stride, out_shape):
             lo = min(planes, max(0, -z0))
             hi = max(lo, min(planes, d - z0))
             inner[:, :lo] = 0
-            for p, c0, c1 in zip(parts, bounds, bounds[1:]):
-                np.copyto(inner[c0:c1, lo:hi], p[:, z0 + lo:z0 + hi])
+            c0 = 0
+            for p in parts:
+                np.copyto(inner[c0:c0 + len(p), lo:hi], p[:, z0 + lo:z0 + hi])
+                c0 += len(p)
             inner[:, hi:planes] = 0
         cols = buf[:nz * k * t * ow].reshape(nz, groups[0], cin, kd, kw, t, ow)
         for r in range(groups[0]):
@@ -876,8 +876,9 @@ def _conv3d(x: Tensor | tuple, w: Tensor, b: Tensor, stride, pad) -> Tensor:
     xd, wd = xs[0], w.data
     if xd.ndim != 4 or wd.ndim != 5:
         raise ShapeError(f"conv3d: x {xd.shape}, w {wd.shape}")
-    _, d, h, wdt = xd.shape
-    cin = sum(len(a) for a in xs)
+    cin, d, h, wdt = xd.shape
+    if len(xs) > 1:
+        cin = sum(len(a) for a in xs)
     cout, cin_w, kd, kh, kw = wd.shape
     if cin != cin_w:
         raise ShapeError(f"conv3d channel mismatch: input {cin}, weight {cin_w}")
@@ -927,10 +928,11 @@ def _conv3d(x: Tensor | tuple, w: Tensor, b: Tensor, stride, pad) -> Tensor:
             if len(parts) == 1:
                 parts[0].accumulate_grad(gp)
             else:
-                bounds = list(itertools.accumulate((len(a) for a in xs), initial=0))
-                for p, c0, c1 in zip(parts, bounds, bounds[1:]):
+                c0 = 0
+                for p, a in zip(parts, xs):
                     if p.requires_grad:
-                        p.accumulate_grad(gp[c0:c1])
+                        p.accumulate_grad(gp[c0:c0 + len(a)])
+                    c0 += len(a)
     return _make(out, parts + (w, b), bwd)
 
 
