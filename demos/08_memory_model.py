@@ -1,8 +1,9 @@
 """Where the memory goes: slab amortization in numbers.
 
 Compares the analytic model (the real step run on priced stand-in
-networks) against instrumented measurements of real steps, shows the
-linear law of the slab branch, and sweeps the configured resolution.
+networks) against instrumented measurements of real steps, shows that
+the slab step's peak stays flat as the batch grows, shows the linear law
+of the slab branch, and sweeps the configured resolution.
 """
 
 from dataclasses import replace
@@ -25,6 +26,12 @@ for mode in ("train_amortized", "train_full", "inference"):
 m_am = measured_peak(cfg, "train_amortized", seed=1).peak_total
 m_full = measured_peak(cfg, "train_full", seed=1).peak_total
 print(f"\nslab training peak / full-volume training peak = {m_am / m_full:.3f}")
+
+print("\n=== the slab step's peak does not grow with the batch ===")
+# each sample's backward runs before the next sample's forward
+for b in (1, 2, 4):
+    m = measured_peak(cfg, "train_amortized", batch_size=b)
+    print(f"batch {b}: measured {m.peak_total / MB:7.2f} MB")
 
 print("\n=== slab-branch activation bytes are linear in the multiplier ===")
 for m in (0.125, 0.25, 0.5):

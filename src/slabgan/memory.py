@@ -30,6 +30,11 @@ volumes (inference 0.02 s). A replay of the phases written out by hand
 took 5 ms, but needed a second edit for each change to the step and
 drifted from it by up to 11% per phase.
 
+``train_step`` runs each sample's backward before the next sample's
+forward, so a training step holds one sample's graph at a time: from
+batch 2 on, its peak does not grow with the batch (batch 1 is lower by
+the gradients accumulated from an earlier sample).
+
 At desk widths the two reports agree to the byte, peak and split, in
 every mode: at 32^3 at batch 1 and 2, with no classes and with five; at
 64^3 and 128^3 at batch 2; and at 64^3 also at batch 4 and with five

@@ -13,7 +13,7 @@ import hashlib
 
 import numpy as np
 
-from .tensor import Tensor, backward
+from .tensor import Tensor
 
 
 class ParamStore:
@@ -92,14 +92,14 @@ def adam_step(store: ParamStore, lr: float, beta1: float = 0.0,
         state[2] = t
 
 
-def optimize(store: ParamStore, loss: Tensor, lr: float, clip_norm: float | None = None) -> None:
-    """One optimizer step on ``loss`` for the trainable parameters.
+def optimize(store: ParamStore, lr: float, clip_norm: float | None = None) -> None:
+    """One optimizer step on the gradients already accumulated in the
+    trainable parameters' ``.grad``.
 
-    Runs ``backward``, rescales the gradients when their global L2 norm
-    (accumulated in float64) exceeds ``clip_norm``, applies ``adam_step``
-    with its default betas and eps, and zeroes every gradient.
+    Rescales the gradients when their global L2 norm (accumulated in
+    float64) exceeds ``clip_norm``, applies ``adam_step`` with its default
+    betas and eps, and zeroes every gradient.
     """
-    backward(loss)
     if clip_norm is not None:
         grads = [p.grad for p in store.params.values()
                  if p.requires_grad and p.grad is not None]

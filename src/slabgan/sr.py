@@ -199,8 +199,10 @@ def sr_train_step(state: SRState, pairs: list) -> dict:
 
     Volumes of the wrong shape, non-finite or outside [-1, 1] raise
     ValueError before anything runs. Each step is one
-    ``training.batch_update``, which checks its loss before the optimizer
-    update (TrainingDiverged). ``training.step_guard`` advances ``step``
+    ``training.batch_update``: it runs each pair's backward as soon as that
+    pair's loss is checked, so one pair's graph is alive at a time, and
+    updates once after the last pair, when the summed loss has been
+    checked too (TrainingDiverged). ``training.step_guard`` advances ``step``
     only when both updates succeeded; a call that raises leaves the tape
     empty, and the rng unchanged if it raised before the D update.
     """

@@ -26,9 +26,9 @@ counted. Some are payload-sized (an output gradient, conv3d's input
 gradient before its stride phases are interleaved, at strides above 1).
 group_norm, leaky_relu and elu work in the buffer they return and hold
 nothing input-sized beyond it (elu a boolean mask); batch_norm adds a
-one-channel float64 buffer. group_norm's backward holds the recomputed
-normalized input and one product buffer beside the input gradient it
-hands over. ``accumulate_grad`` keeps a gradient array that owns its
+one-channel float64 buffer, in its backward too. group_norm's backward
+holds the recomputed normalized input and one product buffer beside the
+input gradient it hands over. ``accumulate_grad`` keeps a gradient array that owns its
 buffer as it is, and copies a view. conv3d never pads
 its input (or, for the input gradient, its output gradient) whole: it
 copies the padded input planes of a run of output slices into one reused
@@ -1018,10 +1018,13 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
 
     The statistics are float64, so the normalized input is too. The
     forward computes it one channel at a time in a one-channel float64
-    buffer and writes the affine result into the output, in x's dtype;
-    the backward recomputes the whole normalized input for gamma's
-    gradient instead of holding it on the tape. Each step is the same
-    float operation on the same operands as the whole-array expression.
+    buffer and writes the affine result into the output, in x's dtype.
+    The backward works one channel at a time too: it recomputes the
+    normalized input in a one-channel float64 buffer for gamma's gradient
+    (summed in float64, handed over in gamma's dtype) instead of holding
+    it on the tape, and writes x's gradient into a buffer of x's dtype.
+    Each step is the same float operation on the same operands as the
+    whole-array expression.
     """
     xd = x.data
     mu = running_mean.copy()
@@ -1043,13 +1046,22 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
 
     def bwd(g):
         if gamma.requires_grad:
-            xhat = (xd - mu[:, None, None, None]) * inv[:, None, None, None]
-            gamma.accumulate_grad((g * xhat).sum(axis=(1, 2, 3)))
+            gg = np.empty(xd.shape[0])
+            t = np.empty(xd.shape[1:], np.result_type(xd, mu, inv, g))
+            for c in range(xd.shape[0]):
+                np.subtract(xd[c], mu[c], out=t)
+                t *= inv[c]
+                np.multiply(g[c], t, out=t)
+                gg[c] = t.sum()
+            gamma.accumulate_grad(gg.astype(gamma.dtype))
         if beta.requires_grad:
             beta.accumulate_grad(g.sum(axis=(1, 2, 3)))
         if x.requires_grad:
-            gx = g * (gamma.data * inv)[:, None, None, None]
-            x.accumulate_grad(np.ascontiguousarray(gx, dtype=xd.dtype))
+            gx = np.empty(xd.shape, xd.dtype)
+            scale = gamma.data * inv
+            for c in range(xd.shape[0]):
+                np.multiply(g[c], scale[c], out=gx[c])
+            x.accumulate_grad(gx)
     return _make(out, (x, gamma, beta), bwd)
 
 

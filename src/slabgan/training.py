@@ -10,11 +10,14 @@ selector on real data.
 ``_alternate`` holds the four phases as one table of (phase, trainable
 prefixes, per-sample loss term, loss weight, learning rate). For each
 phase it freezes every parameter outside the prefixes
-(``_only_trainable``) and hands the batch to ``batch_update``, which sums
-the sample terms, averages their logged values into the report, scales
-the sum by weight / batch size, checks it and runs the optimizer. The
-super-resolution trainer (``sr.py``) runs its D and G steps through the
-same helper.
+(``_only_trainable``) and hands the batch to ``batch_update``. It builds
+one sample's term at a time, scales it by weight / batch size, checks it
+and runs its backward at once, so the leaf gradients accumulate over the
+batch while only one sample's graph is alive; the step's memory follows
+one sample, not the batch. After the last sample it checks the summed
+loss and the averaged logged values, then runs the optimizer once. The
+super-resolution trainer (``sr.py``) and the augmentation classifier
+(``augment.py``) run their updates through the same helper.
 
 Discriminator logits are raw; the losses use stable log-sigmoid forms.
 The generator objective defaults to the non-saturating -log sigmoid(D(fake));
@@ -37,7 +40,7 @@ from .geometry import (SliceWindow, check_volume, deterministic_windows, sample_
                        select_high, select_low)
 from .networks import ModelSet, NetConfig, build_model_set
 from .optim import optimize
-from .tensor import Tensor, no_grad
+from .tensor import Tensor, backward, no_grad
 
 
 class TrainingDiverged(RuntimeError):
@@ -211,26 +214,41 @@ def batch_update(store, step: int, items, term, weight: float, lr: float, report
     """One optimizer update on the weighted mean of a per-sample loss.
 
     ``term(item)`` returns one sample's loss and a dict of the values it
-    logs. The losses are summed in item order, each logged value is
-    averaged over ``items`` into ``report``, and the sum is scaled by
-    ``weight / len(items)``. If that loss or any report value is
-    non-finite, TrainingDiverged (carrying ``step`` and ``report``) is
-    raised before any parameter changes; otherwise ``optimize`` updates
-    the trainable parameters of ``store``.
+    logs. Each sample's loss, scaled by ``weight / len(items)``, is
+    checked and then run through ``backward`` before the next sample's
+    term is built: its gradients add into the leaf ``.grad``s and its tape
+    is freed, so only one sample's graph is ever alive. Each logged value
+    is averaged over ``items`` into ``report``. After the last sample the
+    summed scaled loss and the report are checked too, and only then does
+    ``optimize`` update the trainable parameters of ``store`` from the
+    accumulated gradients. A non-finite sample loss, summed loss or logged
+    value raises TrainingDiverged (carrying ``step`` and ``report``, which
+    then averages the samples seen so far). On any exception the
+    accumulated gradients are zeroed before it propagates, so no
+    parameter, Adam moment or gradient changes.
     """
-    loss = None
+    scale = weight / len(items)
+    total = None
     sums: dict = {}
-    for item in items:
-        value, logged = term(item)
-        for k, v in logged.items():
-            sums[k] = sums.get(k, 0.0) + v
-        loss = value if loss is None else T.add(loss, value)
-    for k, v in sums.items():
-        report[k] = v / len(items)
-    loss = T.mul(loss, weight / len(items))
-    if not (np.isfinite(loss.item()) and all(np.isfinite(v) for v in report.values())):
-        raise TrainingDiverged(step, report)
-    optimize(store, loss, lr, clip_norm)
+    try:
+        for seen, item in enumerate(items, 1):
+            value, logged = term(item)
+            for k, v in logged.items():
+                sums[k] = sums.get(k, 0.0) + v
+            scaled = T.mul(value, scale)
+            if not (np.isfinite(scaled.item()) and all(np.isfinite(v) for v in logged.values())):
+                report.update({k: v / seen for k, v in sums.items()})
+                raise TrainingDiverged(step, report)
+            backward(scaled)
+            total = value.data if total is None else total + value.data
+        for k, v in sums.items():
+            report[k] = v / len(items)
+        if not (np.isfinite(total * scale) and all(np.isfinite(v) for v in report.values())):
+            raise TrainingDiverged(step, report)
+        optimize(store, lr, clip_norm)
+    except BaseException:
+        store.zero_grads()
+        raise
 
 
 def train_step(state: TrainState, batch_high: list, labels: list | None = None,
@@ -240,9 +258,11 @@ def train_step(state: TrainState, batch_high: list, labels: list | None = None,
     Returns the per-step loss report. A volume of the wrong shape, with a
     non-finite value or outside [-1, 1], or a class label outside the
     model's range, raises ValueError before anything runs. Each phase is
-    one ``batch_update``, which checks the phase's loss before its
-    optimizer update and raises TrainingDiverged if it is non-finite, so
-    a diverged phase writes no parameter; the phases before it keep their
+    one ``batch_update``, which runs each sample's backward as soon as its
+    loss is checked and updates the phase's parameters once, after the
+    last sample; a non-finite sample or summed loss raises
+    TrainingDiverged before that update, so a diverged phase writes no
+    parameter and leaves no gradient; the phases before it keep their
     updates. ``step_guard`` advances ``step`` only when the whole
     alternation succeeded; a step that raises leaves the tape empty and,
     if it raised before any update, the rng unchanged.

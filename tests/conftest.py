@@ -161,7 +161,8 @@ def batch_norm_direct(x, gamma, beta, running_mean, running_var, training, g,
     """Batch norm by running statistics and its backward as whole-array
     float64 expressions; the oracle for ``tensor.batch_norm``. Updates the
     running buffers in place as the op does, and returns (out, grad x,
-    grad gamma, grad beta) for output gradient ``g``."""
+    grad gamma, grad beta) for output gradient ``g``, gamma's float64 sum
+    in gamma's dtype."""
     mu = running_mean.copy()
     var = running_var.copy()
     if training:
@@ -174,7 +175,7 @@ def batch_norm_direct(x, gamma, beta, running_mean, running_var, training, g,
     out = gamma[:, None, None, None] * xhat + beta[:, None, None, None]
     gx = g * (gamma * inv)[:, None, None, None]
     return (np.ascontiguousarray(out, dtype=x.dtype), np.ascontiguousarray(gx, dtype=x.dtype),
-            (g * xhat).sum(axis=(1, 2, 3)), g.sum(axis=(1, 2, 3)))
+            (g * xhat).sum(axis=(1, 2, 3)).astype(gamma.dtype), g.sum(axis=(1, 2, 3)))
 
 
 def sr_forward_concat(gen, lr, training=True):

@@ -198,17 +198,17 @@ class TestCLI:
         """``--batch-size`` reaches the report and the sweep; the command
         used to print the batch-2 peak whatever the flag said."""
         cfg = desk_config(full_resolution=32)
-        peak4 = analytic_memory(cfg, "train_amortized", batch_size=4).peak_total
-        assert peak4 != analytic_memory(cfg, "train_amortized", batch_size=2).peak_total
+        peak1 = analytic_memory(cfg, "train_amortized", batch_size=1).peak_total
+        assert peak1 != analytic_memory(cfg, "train_amortized", batch_size=2).peak_total
 
         def run(*argv):
-            assert main(["memsim", "--resolution", "32", "--batch-size", "4", *argv]) == 0
+            assert main(["memsim", "--resolution", "32", "--batch-size", "1", *argv]) == 0
             return capsys.readouterr().out.splitlines()
 
         report = dict(line.split("\t") for line in run()[1:])
-        assert int(report["peak_total"]) == peak4
+        assert int(report["peak_total"]) == peak1
         row = run("--sweep", "32")[-1].split("\t")
-        assert int(row[2]) == resolution_sweep(cfg, [32], batch_size=4)[0][0]["train_peak_bytes"]
+        assert int(row[2]) == resolution_sweep(cfg, [32], batch_size=1)[0][0]["train_peak_bytes"]
 
 
 @pytest.mark.slow

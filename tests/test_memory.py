@@ -94,9 +94,23 @@ class TestMeasured:
         assert abs(a - m) / m < 0.25
 
     def test_amortized_at_most_half_of_full(self):
-        m_am = measured_peak(DESK, "train_amortized", seed=1).peak_total
-        m_full = measured_peak(DESK, "train_full", seed=1).peak_total
-        assert m_am <= 0.5 * m_full
+        """Compares the transient payload (peak minus the parameters and Adam
+        moments, which neither mode changes), with a bound of 0.35: it reads
+        0.290 at desk 64^3, batch 2."""
+        def transient(mode):
+            rep = measured_peak(DESK, mode, seed=1)
+            return rep.peak_total - rep.params_bytes - rep.optimizer_bytes
+        assert transient("train_amortized") <= 0.35 * transient("train_full")
+
+    def test_amortized_peak_flat_in_batch(self):
+        """Each sample's backward runs before the next sample's forward, so
+        only one sample's graph is alive: batch 4 peaks where batch 2 does,
+        and both within 5% of batch 1 (the extra is the gradients
+        accumulated from the samples before)."""
+        peaks = {b: measured_peak(DESK, "train_amortized", batch_size=b, seed=4).peak_total
+                 for b in (1, 2, 4)}
+        assert peaks[4] == peaks[2] <= 1.05 * peaks[1]
+        assert analytic_memory(DESK, "train_amortized", batch_size=4).peak_total == peaks[4]
 
     def test_inference_below_training_and_gradfree(self):
         m_inf = measured_peak(DESK, "inference", seed=2)

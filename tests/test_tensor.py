@@ -784,6 +784,31 @@ class TestBatchNorm:
             f"traced peak {peak / 2 ** 20:.2f} MiB"
 
 
+    @pytest.mark.parametrize("training", [False, True])
+    def test_backward_peak_and_gamma_dtype(self, training):
+        """Backward of ``tsum(out * g)`` on a 4 MiB float32 input holds the
+        output's and the input's gradient (4 MiB each) and a one-channel
+        float64 buffer (0.5 MiB); the whole-array float64 expressions
+        peaked at 24.0 MiB. Gamma's gradient has gamma's dtype."""
+        rng = np.random.default_rng(35)
+        x = Tensor(rng.standard_normal((16, 16, 64, 64)).astype(np.float32),
+                   requires_grad=True)
+        gamma = Tensor(np.linspace(0.5, 1.5, 16).astype(np.float32), requires_grad=True)
+        beta = Tensor(np.full(16, 0.25, np.float32), requires_grad=True)
+        out = T.batch_norm(x, gamma, beta, np.zeros(16), np.ones(16), training)
+        loss = T.tsum(T.mul(out, Tensor(rng.standard_normal(x.shape).astype(np.float32))))
+        tracemalloc.start()
+        try:
+            T.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gamma.grad.dtype == gamma.data.dtype == beta.grad.dtype
+        assert x.grad.dtype == np.float32
+        assert peak < 2 * x.data.nbytes + x.data.nbytes // 8 + 2 ** 18, \
+            f"traced peak {peak / 2 ** 20:.2f} MiB"
+
+
 class TestSpectralNorm:
     def test_identity_unchanged(self):
         w = Tensor(np.eye(3))
@@ -1042,7 +1067,8 @@ class TestAdam:
 
     def test_optimize_steps_and_zeroes(self):
         store, p, loss = self._loss_store()
-        optimize(store, loss, lr=0.1)
+        T.backward(loss)
+        optimize(store, lr=0.1)
         assert np.allclose(p.data, [2.9, -3.9])
         assert p.grad is None and len(T.active_tape()) == 0
         assert list(store.adam_state) == ["net/w"]
@@ -1055,7 +1081,8 @@ class TestAdam:
             seen.append(p.grad.copy())
             adam_step(st, lr)
         monkeypatch.setattr(optim, "adam_step", record)
-        optimize(store, loss, lr=0.1, clip_norm=2.0)
+        T.backward(loss)
+        optimize(store, lr=0.1, clip_norm=2.0)
         # gradient (12, -16) has norm 20; clipping rescales it to norm 2
         assert np.allclose(seen[0], [1.2, -1.6])
 

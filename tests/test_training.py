@@ -250,6 +250,55 @@ class TestBatchUpdate:
         assert np.array_equal(store.params["p"].data, before) and not store.adam_state
 
 
+    @pytest.mark.parametrize("fault", ["nan_loss", "backward_raises"])
+    def test_failure_after_one_backward_leaves_no_trace(self, fault, monkeypatch):
+        """The first sample's backward has run when the second fails: its
+        accumulated gradient is zeroed, and no parameter or Adam moment
+        changes."""
+        store = self.toy_store()
+        before = store.params["p"].data.copy()
+        calls = []
+
+        def counting(loss):
+            calls.append(loss.item())
+            if fault == "backward_raises" and len(calls) == 2:
+                raise MemoryError("backward")
+            backward(loss)
+        monkeypatch.setattr(training, "backward", counting)
+
+        def term(a):
+            if fault == "nan_loss" and a is self.ITEMS[1]:
+                a = np.full(3, np.nan)
+            return T.tsum(T.mul(store.params["p"], Tensor(a))), {}
+        with pytest.raises(TrainingDiverged if fault == "nan_loss" else MemoryError):
+            batch_update(store, 9, self.ITEMS, term, 1.0, 1e-3, {})
+        assert len(calls) == (1 if fault == "nan_loss" else 2)
+        assert np.array_equal(store.params["p"].data, before) and not store.adam_state
+        assert all(p.grad is None for p in store.params.values())
+        T.active_tape().clear()
+
+    def test_batch_gradient_is_sum_of_sample_gradients(self):
+        """At float64, the gradient one phase hands Adam (its first moment,
+        with beta1 = 0) is the sum of the samples' own weighted gradients."""
+        cfg = desk_config(full_resolution=32, latent_dim=16, base_channels=4)
+        state = init_train_state(cfg, seed=42, dtype=np.float64, deterministic_r=True)
+        vols = [np.random.default_rng(43 + i).uniform(-1, 1, (32, 32, 32)) for i in range(2)]
+        w = training._current_window(state)
+        _only_trainable(state, ("e_h/",))
+        want = {}
+        for vol in vols:
+            backward(T.mul(recon_slab_loss(state, vol, w), state.weights.lambda1 / len(vols)))
+            for name, p in state.store.params.items():
+                if p.grad is not None:
+                    want[name] = want.get(name, 0.0) + p.grad
+            state.store.zero_grads()
+        train_step(state, vols, phases=("eh",))
+        assert set(want) == set(state.store.adam_state) and want
+        for name, g in want.items():
+            np.testing.assert_allclose(state.store.adam_state[name][0], g, rtol=1e-12,
+                                       err_msg=name)
+
+
 class TestTrainStep:
     def test_report_fields_and_finiteness(self):
         state = tiny_state(10)
