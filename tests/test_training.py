@@ -249,7 +249,6 @@ class TestBatchUpdate:
         assert exc.value.step == 9
         assert np.array_equal(store.params["p"].data, before) and not store.adam_state
 
-
     @pytest.mark.parametrize("fault", ["nan_loss", "backward_raises"])
     def test_failure_after_one_backward_leaves_no_trace(self, fault, monkeypatch):
         """The first sample's backward has run when the second fails: its
