@@ -51,13 +51,15 @@ def _check_latent(nets: ModelSet, z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=np.float32).reshape(-1)
     if z.shape[0] != nets.cfg.latent_dim:
         raise T.ShapeError(f"latent length {z.shape[0]} != {nets.cfg.latent_dim}")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("latent code has non-finite entries")
     return z
 
 
 def generate_full(nets: ModelSet, z: np.ndarray, c: int | None = None) -> np.ndarray:
     """Decode a latent to the full high-resolution (1, D, H, W) volume (no
-    gradients). A class ``c`` outside the model's range raises ValueError.
-    """
+    gradients). A non-finite latent or a class ``c`` outside the model's
+    range raises ValueError."""
     z = _check_latent(nets, z)
     with no_grad():
         a = nets.g_a(nets.latent_input(Tensor(z), c), training=False)

@@ -28,8 +28,10 @@ group_norm, leaky_relu and elu work in the buffer they return and hold
 nothing input-sized beyond it (elu a boolean mask); batch_norm adds a
 one-channel float64 buffer, in its backward too. group_norm's backward
 holds the recomputed normalized input and one product buffer beside the
-input gradient it hands over. ``accumulate_grad`` keeps a gradient array that owns its
-buffer as it is, and copies a view. conv3d never pads
+input gradient it hands over. A ``_bwd`` hands each parent an array it may
+own alone: fresh, the node's own gradient, or a view of either that overlaps
+no other parent's. ``accumulate_grad`` keeps the first as it is, so ``add``
+copies ``g`` for ``b`` when ``a`` takes it too. conv3d never pads
 its input (or, for the input gradient, its output gradient) whole: it
 copies the padded input planes of a run of output slices into one reused
 slab, and unfolds a chunk of output slices or rows at a time from that
@@ -204,9 +206,8 @@ class Tensor:
 
     # -- gradient plumbing ---------------------------------------------------
     def accumulate_grad(self, g: np.ndarray) -> None:
+        """Keep the first ``g`` as it is (see the ownership rule above); add later ones in."""
         if self.grad is None:
-            if g.base is not None or not g.flags.owndata:
-                g = g.copy()
             self.grad = g
             self._grad_nbytes += METER.add(grad=g.nbytes)
         else:
@@ -303,7 +304,8 @@ def add(a: Tensor, b) -> Tensor:
         if a.requires_grad:
             a.accumulate_grad(g)
         if b.requires_grad:
-            b.accumulate_grad(g if b.data.shape == g.shape else g.sum())
+            b.accumulate_grad(g.sum() if b.data.shape != g.shape else
+                              g.copy() if a.requires_grad else g)
     return _make(a.data + b.data, (a, b), bwd)
 
 
@@ -810,8 +812,8 @@ def conv3d(x: Tensor | tuple, w: Tensor, b: Tensor, stride=1, pad=0,
     to C_in; anything else raises ShapeError. Each part's planes are copied
     into its own channel range of the slab below, so the output and every
     gradient are bit for bit those of the conv over the concatenation, and
-    backward splits the input gradient into the parts in channel order, as
-    ``concat``'s backward does.
+    backward hands each part the view of its channel range of the input
+    gradient, as ``concat``'s backward does.
 
     With ``upsample`` the correlation reads the half-pixel trilinear x2
     upsample of x (``Interp(2.0)``) without building it: a single Tensor
@@ -915,8 +917,6 @@ def _conv3d(x: Tensor | tuple, w: Tensor, b: Tensor, stride, pad) -> Tensor:
             ext = tuple(-(-n // s) for n, s in zip((d, h, wdt), stride))
             gc = g[:, max(lo[0], 0):, max(lo[1], 0):, max(lo[2], 0):]
             gp = _correlate((gc,), [max(-n, 0) for n in lo], wg, (1, 1, 1), ext)
-            # at stride 1 in x's dtype, gp is the input gradient itself and
-            # owns its buffer, so a single part takes it without a copy
             if stride != (1, 1, 1) or gp.dtype != xd.dtype:
                 gp = gp.reshape((cin,) + stride + ext)
                 # interleave the phases: gx[:, s*m + r] = gp[:, r, m]
@@ -925,14 +925,11 @@ def _conv3d(x: Tensor | tuple, w: Tensor, b: Tensor, stride, pad) -> Tensor:
                     dst = gx[:, r[0]::stride[0], r[1]::stride[1], r[2]::stride[2]]
                     np.copyto(dst, gp[(slice(None),) + r + tuple(map(slice, dst.shape[1:]))])
                 gp = gx
-            if len(parts) == 1:
-                parts[0].accumulate_grad(gp)
-            else:
-                c0 = 0
-                for p, a in zip(parts, xs):
-                    if p.requires_grad:
-                        p.accumulate_grad(gp[c0:c0 + len(a)])
-                    c0 += len(a)
+            c0 = 0
+            for p, a in zip(parts, xs):
+                if p.requires_grad:
+                    p.accumulate_grad(gp[c0:c0 + len(a)])
+                c0 += len(a)
     return _make(out, parts + (w, b), bwd)
 
 

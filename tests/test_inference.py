@@ -57,6 +57,23 @@ class TestGenerateFull:
         with pytest.raises(ShapeError):
             generate_full(nets, np.zeros(32, np.float32))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("call", ["generate", "interpolate", "traverse"])
+    def test_non_finite_latent_rejected(self, nets, z64, monkeypatch, bad, call):
+        """A NaN or inf latent entry raises ValueError before any network
+        runs (a network call would raise TypeError here)."""
+        z = z64.copy()
+        z[3] = bad
+        monkeypatch.setattr(nets, "g_a", None)
+        with pytest.raises(ValueError, match="non-finite"):
+            if call == "generate":
+                generate_full(nets, z)
+            elif call == "interpolate":
+                interpolate(nets, z64, z, steps=2)
+            else:
+                w = np.eye(64)[0]
+                traverse(nets, z, LatentDirection(w=w, coef=w, bias=0.0), offsets=[0.0])
+
     @pytest.mark.slow
     def test_full_resolution_256_fits(self):
         """The paper's 256^3 at desk widths decodes within 1 GB of traced

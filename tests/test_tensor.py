@@ -1007,6 +1007,36 @@ class TestBackward:
         T.backward(T.tsum(T.mul(x, w)))
         assert x.grad is not None and w.grad is None
 
+    def test_add_of_nodes_with_other_consumers(self):
+        """p and q meet in one add and each feeds another op too: their
+        gradients are accumulated apart, so w.grad is 1 + 1 + 2 + 3."""
+        w = Tensor(np.array([1.0]), requires_grad=True)
+        p, q = T.mul(w, 1.0), T.mul(w, 1.0)
+        y, z = T.mul(p, 2.0), T.mul(q, 3.0)
+        T.backward(T.tsum(T.add(T.add(T.add(p, q), y), z)))
+        assert w.grad[0] == 7.0
+
+    def test_added_leaves_accumulate_apart(self):
+        """Two leaves summed by add keep gradient arrays of their own
+        across two backwards."""
+        a, b = Tensor(np.ones(3), requires_grad=True), Tensor(np.ones(3), requires_grad=True)
+        T.backward(T.tsum(T.square(T.add(a, b))))
+        T.backward(T.tsum(T.mul(T.add(a, b), T.add(a, b))))
+        assert a.grad is not b.grad
+        assert np.array_equal(a.grad, [8.0] * 3) and np.array_equal(b.grad, [8.0] * 3)
+
+    def test_optimize_clips_added_leaves_once(self):
+        """Gradient 3 on each of six entries has norm sqrt(54); clipping to
+        1 leaves 1/sqrt(6) on every entry, which adam_step's first moment
+        holds at its default beta1 = 0."""
+        store = ParamStore()
+        a = store.register("net/a", Tensor(np.ones(3)))
+        b = store.register("net/b", Tensor(np.ones(3)))
+        T.backward(T.tsum(T.mul(T.add(a, b), 3.0)))
+        optimize(store, lr=0.1, clip_norm=1.0)
+        for name in ("net/a", "net/b"):
+            assert np.allclose(store.adam_state[name][0], 1.0 / np.sqrt(6.0))
+
 
 class TestDeterminism:
     def test_conv_bitwise_repeatable(self):
@@ -1193,6 +1223,93 @@ class TestFiniteDifferencePrimitives:
             return float(T.tsum(T.square(out)).data)
         num = finite_difference(f, w)
         assert rel_err(ana, num) < 1e-4
+
+
+# every node of a random graph has this (C, D, H, W) shape
+_DAG_SHAPE = (2, 1, 2, 2)
+
+
+def _random_program(rng, n_leaves: int, n_ops: int = 8) -> list:
+    """A random graph over ``n_leaves`` leaves, as steps ``(op, operand
+    indices, constants)``; a step's result is node ``n_leaves + step``.
+    Operands are drawn with replacement, so nodes have several consumers,
+    and an op may take the same node twice."""
+    steps = []
+    for k in range(n_ops):
+        n = n_leaves + k
+        op = ["add", "sub", "mul", "scale", "square", "tanh", "sigmoid",
+              "reshape", "concat_slice", "conv_parts"][rng.integers(10)]
+        args = tuple(int(i) for i in rng.integers(n, size=2))
+        if op == "scale":
+            const = float(rng.uniform(-1.5, 1.5))
+        elif op == "concat_slice":
+            axis = int(rng.integers(4))
+            const = (axis, int(rng.integers(_DAG_SHAPE[axis] + 1)))
+        elif op == "conv_parts":
+            # one operand named twice, or two operands, as conv3d's parts
+            if rng.random() < 0.5:
+                args = (args[0], args[0])
+            c = _DAG_SHAPE[0]
+            const = rng.standard_normal((c, 2 * c, 3, 3, 3)) * 0.2
+        else:
+            const = None
+        steps.append((op, args, const))
+    return steps
+
+
+def _run_program(steps, leaves, weight) -> Tensor:
+    """The loss of ``steps`` on ``leaves``: the weighted sum of every node
+    no step consumes, added up with ``add`` in node order."""
+    nodes = list(leaves)
+    for op, (i, j), const in steps:
+        x, y = nodes[i], nodes[j]
+        if op in ("add", "sub", "mul"):
+            out = getattr(T, op)(x, y)
+        elif op == "scale":
+            out = T.mul(x, const)
+        elif op in ("square", "tanh", "sigmoid"):
+            out = getattr(T, op)(x)
+        elif op == "reshape":
+            out = T.reshape(T.reshape(x, (4, -1)), _DAG_SHAPE)
+        elif op == "concat_slice":
+            axis, start = const
+            out = T.slice_axis(T.concat([x, y], axis=axis), axis, start, _DAG_SHAPE[axis])
+        else:
+            out = T.conv3d((x, y), Tensor(const), Tensor(np.zeros(len(const))), 1, 1)
+        nodes.append(out)
+    used = {i for _, args, _ in steps for i in args}
+    sinks = [t for k, t in enumerate(nodes) if k not in used]
+    total = sinks[0]
+    for t in sinks[1:]:
+        total = T.add(total, t)
+    return T.tsum(T.mul(total, Tensor(weight)))
+
+
+class TestRandomGraphs:
+    """Seeded random graphs of tape ops against central differences
+    (64-bit): shared subexpressions, nodes with several consumers, and two
+    backwards into the same leaves before their gradients are read."""
+
+    def test_gradients_match_finite_differences(self):
+        failed = []
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            arrays = [rng.uniform(-1, 1, _DAG_SHAPE) for _ in range(2)]
+            runs = [(_random_program(rng, len(arrays)), rng.uniform(-1, 1, _DAG_SHAPE))
+                    for _ in range(2)]
+            leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            for steps, weight in runs:
+                T.backward(_run_program(steps, leaves, weight))
+            for k, leaf in enumerate(leaves):
+                def f(x, k=k):
+                    args = [Tensor(x if i == k else a) for i, a in enumerate(arrays)]
+                    return sum(float(_run_program(steps, args, weight).data)
+                               for steps, weight in runs)
+                got = np.zeros(_DAG_SHAPE) if leaf.grad is None else leaf.grad
+                if rel_err(got, finite_difference(f, arrays[k])) > 1e-5:
+                    failed.append(seed)
+                    break
+        assert not failed, f"gradients differ from finite differences at seeds {failed}"
 
 
 class TestLiveSet:
