@@ -253,10 +253,16 @@ class Interp(Layer):
     def describe(self):
         return "Interpolation"
 
+    def plans(self, in_shape, dtype) -> list:
+        """The ``InterpPlan`` per D, H and W axis that resamples an input of
+        ``in_shape`` and ``dtype``: what ``forward`` applies, and what a
+        ``conv3d`` part ``(x, plans)`` reads without building it."""
+        out = self.out_shape(in_shape)
+        return [T.interp_plan(n_in, n_out, False, dtype)
+                for n_in, n_out in zip(in_shape[1:], out[1:])]
+
     def forward(self, x, training):
-        out = self.out_shape(x.shape)
-        return T.resize3d(x, [T.interp_plan(n_in, n_out, False, x.dtype)
-                              for n_in, n_out in zip(x.shape[1:], out[1:])])
+        return T.resize3d(x, self.plans(x.shape, x.dtype))
 
 
 class Reshape(Layer):

@@ -63,10 +63,15 @@ normalized input and one product buffer).
 A conv that reads the x2 upsample of its input is one listing row
 (``UpConv3d``, "Conv3D 3x3x3, 1 after x2 Interpolation"). Without a tape
 it never builds the upsampled tensor, so a no-grad pass counts only the
-row's output; its uncounted workspace is the input edge-padded along H
-and W, the phase-stacked output before the interleave (the size of the
-output) and the few upsampled planes of its H and W borders. Taped, it
-keeps the upsampled input for backward, and so does its stand-in.
+row's output; its uncounted workspace is conv3d's (one slab of a few
+input planes, bordered along H and W by their edge replicates, and one
+unfold buffer), one chunk's phases, which are interleaved into the output
+as soon as they are computed, and the upsampled planes of one H or W
+border at a time. Taped, it keeps the upsampled input for backward, and
+so does its stand-in. The SR decoder's conv reads the upsample of the
+encoder output (``Interp((1, 2, 2))``) as a resampled part: it resamples
+only the planes of its slab, so that upsample is neither payload nor
+workspace, taped or not.
 """
 
 from __future__ import annotations

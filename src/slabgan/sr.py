@@ -92,11 +92,14 @@ class SRGenerator:
 
     The decoder's conv reads the pair ``(up_dec(e), h)`` of the upsampled
     encoder output ``e`` and the head's skip features ``h`` as one
-    channel concatenation, which is never built (``tensor.conv3d`` takes
-    a tuple). ``forward`` runs ``dec``'s layers itself, so the pair dies as
-    soon as that conv has run, before the norm and activation: ``e`` dies
-    once upsampled, ``h`` and the upsample after the decoder conv, and the
-    decoder output after the residual head.
+    channel concatenation. Neither the concatenation nor the upsample is
+    built: ``tensor.conv3d`` takes the tuple ``((e, up_dec's plans), h)``
+    and resamples the planes of ``e`` it reads into its own slab, taped
+    and not, with the bits of the upsample. ``forward`` runs ``dec``'s
+    layers itself, so the pair dies as soon as that conv has run, before
+    the norm and activation: ``e`` and ``h`` die after the decoder conv,
+    the decoder output after the residual head. ``forward`` does not call
+    ``up_dec.forward``, only ``up_dec.plans``.
 
     The branch ends in ``residual_head``, one ``UpConv3d`` that reads the x2
     upsample of the decoder output; without a gradient tape it does not
@@ -141,9 +144,9 @@ class SRGenerator:
     def forward(self, lr: Tensor, training: bool = True) -> Tensor:
         (_, conv), (_, norm), (_, act) = self.dec.layers
         h = self.head(lr, training)
-        u = self.up_dec.forward(self.enc(h, training), training)
-        d = conv.forward((u, h), training)
-        del u, h
+        e = self.enc(h, training)
+        d = conv.forward(((e, self.up_dec.plans(e.shape, e.dtype)), h), training)
+        del e, h
         d = norm.forward(d, training)
         d = act.forward(d, training)
         res = self.residual_head(d, training)

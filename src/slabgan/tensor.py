@@ -30,18 +30,23 @@ one-channel float64 buffer, in its backward too. group_norm's backward
 holds the recomputed normalized input and one product buffer beside the
 input gradient it hands over. A ``_bwd`` hands each parent an array it may
 own alone: fresh, the node's own gradient, or a view of either that overlaps
-no other parent's. ``accumulate_grad`` keeps the first as it is, so ``add``
+no other parent's; a 0-d operand's summed gradient is a 0-d array, not a
+numpy scalar. ``accumulate_grad`` keeps the first as it is, so ``add``
 copies ``g`` for ``b`` when ``a`` takes it too. conv3d never pads
 its input (or, for the input gradient, its output gradient) whole: it
 copies the padded input planes of a run of output slices into one reused
 slab, and unfolds a chunk of output slices or rows at a time from that
 slab into one reused buffer of at most ``CONV_WORKSPACE_BYTES``; the
 buffer holds the depth and width taps only, and the row taps are offset
-views of it. conv3d also takes a tuple of Tensors as its input, read as
-their concatenation along channels: each part's planes are copied into
-its own channel range of the slab, so the concatenation is never built.
-Resampling runs through its axis passes one chunk of channels
-(``INTERP_CHUNK_BYTES`` of output) at a time.
+views of it. The slab's H and W border is zero, or the input's edge
+replicates for the no-grad x2 upsample-conv, whose phases are written
+into its output one chunk at a time. conv3d also takes a tuple of parts
+as its input, read as their concatenation along channels: each Tensor's
+planes are copied into its own channel range of the slab, and a
+resampled part (a Tensor with the plans of a resample that keeps depth)
+has its planes resampled there, so neither the concatenation nor the
+resample is built. Resampling runs through its axis passes one chunk of
+channels (``INTERP_CHUNK_BYTES`` of output) at a time.
 """
 
 from __future__ import annotations
@@ -304,7 +309,7 @@ def add(a: Tensor, b) -> Tensor:
         if a.requires_grad:
             a.accumulate_grad(g)
         if b.requires_grad:
-            b.accumulate_grad(g.sum() if b.data.shape != g.shape else
+            b.accumulate_grad(np.asarray(g.sum()) if b.data.shape != g.shape else
                               g.copy() if a.requires_grad else g)
     return _make(a.data + b.data, (a, b), bwd)
 
@@ -318,7 +323,7 @@ def sub(a: Tensor, b) -> Tensor:
         if a.requires_grad:
             a.accumulate_grad(g)
         if b.requires_grad:
-            b.accumulate_grad(-g if b.data.shape == g.shape else -g.sum())
+            b.accumulate_grad(-g if b.data.shape == g.shape else np.asarray(-g.sum()))
     return _make(a.data - b.data, (a, b), bwd)
 
 
@@ -333,7 +338,7 @@ def mul(a: Tensor, b) -> Tensor:
                 a.accumulate_grad(g * bd)
             if b.requires_grad:
                 gb = g * ad
-                b.accumulate_grad(gb if b.data.shape == g.shape else gb.sum())
+                b.accumulate_grad(gb if b.data.shape == g.shape else np.asarray(gb.sum()))
         return _make(ad * bd, (a, b), bwd)
     s = float(b)
 
@@ -659,23 +664,45 @@ def _slab_slices(nz: int, kd: int, sd: int) -> int:
     return nz * max(1, -(-4 * (kd - sd) // (sd * nz)))
 
 
-def _unfold_chunks(parts, pad, ksize, stride, out_shape):
-    """Row-shifted im2col of the channel concatenation of ``parts``, a
-    tuple of ``(C_i, D, H, W)`` arrays of one dtype, zero-padded by
-    ``pad``, a chunk at a time.
+def _pairs(parts) -> list:
+    """The parts of ``_unfold_chunks`` as ``(array, plans)`` pairs, ``plans``
+    None for a plain array."""
+    return [p if isinstance(p, tuple) else (p, None) for p in parts]
 
-    Neither the concatenation nor the padded input is built whole. The
-    input planes of a run of output slices (``_slab_slices`` of them) are
-    copied into one reused slab of ``(C, planes, max(H + ph, (oh - 1)*sh +
-    kh), ...)`` (likewise along W), each part into its own channel range,
-    whose border is zero: the leading border is the pad, the trailing one
-    reaches as far as the output's windows, so a correlation may read more
-    zeros past the input's end than before its start (a forward conv's
-    slab is ``H + 2*ph`` rows or fewer). Planes outside ``[0, D)`` are
-    zeroed. The chunks' sliding windows are views of that slab, so a plane
-    is copied about once, plus the ``kd - sd`` planes that consecutive
-    slabs share. The slab, and so everything unfolded from it, is the one
-    the concatenated array would give.
+
+def _read_shape(a: np.ndarray, plans) -> tuple:
+    """The ``(C, D, H, W)`` a part is read as: the array's shape, or that of
+    its resample by ``plans``."""
+    return a.shape if plans is None else a.shape[:1] + tuple(p.n_out for p in plans)
+
+
+def _unfold_chunks(parts, pad, ksize, stride, out_shape, edge: bool = False):
+    """Row-shifted im2col of the channel concatenation of ``parts``, padded
+    by ``pad``, a chunk at a time.
+
+    ``parts`` is a tuple of ``(C_i, D, H, W)`` arrays of one dtype, or of
+    resampled parts: ``(array, plans)`` pairs read as ``_interp(array,
+    plans)``, whose depth plan is the identity, so that the pair reads as
+    ``(C_i, D, H, W)`` too.
+
+    Neither the concatenation, nor a resample, nor the padded input is
+    built whole. The input planes of a run of output slices
+    (``_slab_slices`` of them) are written into one reused slab of ``(C,
+    planes, max(H + ph, (oh - 1)*sh + kh), ...)`` (likewise along W), each
+    part into its own channel range: an array's planes are copied, a
+    resampled part's planes are resampled over H and W straight into the
+    slab. A resampled voxel depends only on its own plane, so the slab
+    holds the bits the whole resample would give. The slab's border is
+    zero, or with ``edge`` the nearest input row or column (the edge
+    replicates ``np.pad(..., mode="edge")`` gives): the leading border is
+    the pad, the trailing one reaches as far as the output's windows, so a
+    correlation may read more border past the input's end than before its
+    start (a forward conv's slab is ``H + 2*ph`` rows or fewer). Planes
+    outside ``[0, D)`` are zero, border included. The chunks' sliding
+    windows are views of that slab, so a plane is written about once, plus
+    the ``kd - sd`` planes that consecutive slabs share. The slab, and so
+    everything unfolded from it, is the one the concatenated, resampled,
+    padded array would give.
 
     A chunk of ``nz`` output slices and ``ny`` output rows is then copied
     once into a ``(nz, nr*C*kd*kw, (ny + nq - 1) * ow)`` buffer: per output
@@ -693,12 +720,13 @@ def _unfold_chunks(parts, pad, ksize, stride, out_shape):
     reads (past the input's last row) are left unset.
     """
     od, oh, ow = out_shape
-    x0 = parts[0]
-    _, d, h, wdt = x0.shape
+    parts = _pairs(parts)
+    x0 = parts[0][0]
+    _, d, h, wdt = _read_shape(*parts[0])
     pd, ph, pw = pad
     kd, kh, kw = ksize
     sd, sh, sw = stride
-    cin = sum(len(p) for p in parts)
+    cin = sum(len(a) for a, _ in parts)
     groups = _row_groups(kh, sh)
     k, halo = _unfold_rows(cin, ksize, stride)
     ck = cin * kd * kw
@@ -721,12 +749,22 @@ def _unfold_chunks(parts, pad, ksize, stride, out_shape):
             z0, planes = s0 * sd - pd, (s_end - 1 - s0) * sd + kd
             lo = min(planes, max(0, -z0))
             hi = max(lo, min(planes, d - z0))
-            inner[:, :lo] = 0
+            slab[:, :lo] = 0
             c0 = 0
-            for p in parts:
-                np.copyto(inner[c0:c0 + len(p), lo:hi], p[:, z0 + lo:z0 + hi])
-                c0 += len(p)
-            inner[:, hi:planes] = 0
+            for a, plans in parts:
+                dst = inner[c0:c0 + len(a), lo:hi]
+                if plans is None:
+                    np.copyto(dst, a[:, z0 + lo:z0 + hi])
+                else:
+                    _interp(a[:, z0 + lo:z0 + hi], plans[1:], (2, 3), out=dst)
+                c0 += len(a)
+            slab[:, hi:planes] = 0
+            if edge:
+                v = slab[:, lo:hi]
+                v[:, :, :ph] = v[:, :, ph:ph + 1]
+                v[:, :, ph + h:] = v[:, :, ph + h - 1:ph + h]
+                v[..., :pw] = v[..., pw:pw + 1]
+                v[..., pw + wdt:] = v[..., pw + wdt - 1:pw + wdt]
         cols = buf[:nz * k * t * ow].reshape(nz, groups[0], cin, kd, kw, t, ow)
         for r in range(groups[0]):
             src = win[zs.start - s0:zs.stop - s0, ..., ys.start * sh + r::sh, :][..., :t, :]
@@ -783,15 +821,16 @@ def _chunk_view(a: np.ndarray, zs: slice, ys: slice) -> np.ndarray:
     return a.reshape(c, od, oh * ow)[:, zs, ys.start * ow:ys.stop * ow].transpose(1, 0, 2)
 
 
-def _correlate(parts, pad, w: np.ndarray, stride, out_shape) -> np.ndarray:
-    """Unbiased cross-correlation of an input zero-padded by ``pad`` in
-    front, and behind as far as ``out_shape``'s windows reach: per chunk,
-    the sum over row-shift groups of ``W_q @ view_q``, in group order. The
-    input is the channel concatenation of ``parts``, a tuple of arrays
-    (see ``_unfold_chunks``)."""
+def _correlate(parts, pad, w: np.ndarray, stride, out_shape, edge: bool = False) -> np.ndarray:
+    """Unbiased cross-correlation of an input padded by ``pad`` in front,
+    and behind as far as ``out_shape``'s windows reach: per chunk, the sum
+    over row-shift groups of ``W_q @ view_q``, in group order. The input is
+    the channel concatenation of ``parts``, a tuple of arrays or resampled
+    parts, and the H and W padding is zeros or, with ``edge``, edge
+    replicates (see ``_unfold_chunks``)."""
     wq = _group_weights(w, stride[1])
-    out = np.empty((w.shape[0],) + tuple(out_shape), np.result_type(w, parts[0]))
-    for zs, ys, views in _unfold_chunks(parts, pad, w.shape[2:], stride, out_shape):
+    out = np.empty((w.shape[0],) + tuple(out_shape), np.result_type(w, _pairs(parts)[0][0]))
+    for zs, ys, views in _unfold_chunks(parts, pad, w.shape[2:], stride, out_shape, edge):
         dst = _chunk_view(out, zs, ys)
         np.matmul(wq[0], views[0], out=dst)
         for wm, v in zip(wq[1:], views[1:]):
@@ -806,21 +845,28 @@ def conv3d(x: Tensor | tuple, w: Tensor, b: Tensor, stride=1, pad=0,
     x: (C_in, D, H, W), w: (C_out, C_in, kd, kh, kw), b: (C_out,).
     Output extent per axis: floor((n + 2*pad - k) / stride) + 1.
 
-    ``x`` may also be a tuple of Tensors, read as their concatenation
-    along channels (``concat(parts, axis=0)``) without building it: the
-    parts share one dtype and one ``(D, H, W)``, and their channels add up
-    to C_in; anything else raises ShapeError. Each part's planes are copied
-    into its own channel range of the slab below, so the output and every
-    gradient are bit for bit those of the conv over the concatenation, and
-    backward hands each part the view of its channel range of the input
-    gradient, as ``concat``'s backward does.
+    ``x`` may also be a tuple of parts, read as their concatenation along
+    channels (``concat(parts, axis=0)``) without building it. A part is a
+    Tensor, or a resampled part: a pair ``(t, plans)`` of a Tensor and one
+    ``InterpPlan`` per axis, read as ``resize3d(t, plans)``, whose depth
+    plan must be the identity (as in ``Interp((1, 2, 2))``). The parts, as
+    read, share one dtype and one ``(D, H, W)``, and their channels add up
+    to C_in; anything else, or plans that do not fit their Tensor or change
+    its depth, raises ShapeError. Each part's planes are copied (or
+    resampled over H and W) into its own channel range of the slab below,
+    so the output and every gradient are bit for bit those of the conv
+    over the concatenation of the Tensors and resamples. Backward hands
+    each Tensor part the view of its channel range of the input gradient,
+    as ``concat``'s backward does, and each resampled part the transposed
+    resample of that range, as ``resize3d``'s backward does; the resample
+    is never built, in the forward pass or on the tape.
 
     With ``upsample`` the correlation reads the half-pixel trilinear x2
     upsample of x (``Interp(2.0)``) without building it: a single Tensor
     and a 3^3 kernel at stride 1 and pad 1 only, output
     ``(C_out, 2D, 2H, 2W)``; see ``_upconv3d``.
 
-    The padded input is never built. ``_unfold_chunks`` copies the input
+    The padded input is never built. ``_unfold_chunks`` writes the input
     planes of a run of output slices into one reused zero-bordered slab
     (zero planes stand for the depth padding), and unfolds the slab a chunk
     of output slices or rows at a time: one copy of the depth and width
@@ -868,19 +914,20 @@ def _conv3d(x: Tensor | tuple, w: Tensor, b: Tensor, stride, pad) -> Tensor:
     The upsample path calls it directly, so a traced ``conv3d`` call stays
     one call."""
     if isinstance(x, tuple):
-        parts, xs = x, tuple(p.data for p in x)
-        if not xs or any(a.ndim != 4 or a.shape[1:] != xs[0].shape[1:]
-                         or a.dtype != xs[0].dtype for a in xs):
+        parts = tuple(p[0] if isinstance(p, tuple) else p for p in x)
+        xs = tuple(_resampled(*p) if isinstance(p, tuple) else (p.data, None) for p in x)
+        reads = [_read_shape(*p) for p in xs]
+        if not xs or any(len(r) != 4 or r[1:] != reads[0][1:] or a.dtype != xs[0][0].dtype
+                         for (a, _), r in zip(xs, reads)):
             raise ShapeError(f"conv3d parts must share dtype and (D, H, W): "
-                             f"{[(a.shape, a.dtype.name) for a in xs]}")
+                             f"{[(r, a.dtype.name) for (a, _), r in zip(xs, reads)]}")
     else:
-        parts, xs = (x,), (x.data,)
-    xd, wd = xs[0], w.data
-    if xd.ndim != 4 or wd.ndim != 5:
+        parts, xs, reads = (x,), ((x.data, None),), [x.data.shape]
+    xd, wd = xs[0][0], w.data
+    if len(reads[0]) != 4 or wd.ndim != 5:
         raise ShapeError(f"conv3d: x {xd.shape}, w {wd.shape}")
-    cin, d, h, wdt = xd.shape
-    if len(xs) > 1:
-        cin = sum(len(a) for a in xs)
+    _, d, h, wdt = reads[0]
+    cin = sum(r[0] for r in reads)
     cout, cin_w, kd, kh, kw = wd.shape
     if cin != cin_w:
         raise ShapeError(f"conv3d channel mismatch: input {cin}, weight {cin_w}")
@@ -926,11 +973,26 @@ def _conv3d(x: Tensor | tuple, w: Tensor, b: Tensor, stride, pad) -> Tensor:
                     np.copyto(dst, gp[(slice(None),) + r + tuple(map(slice, dst.shape[1:]))])
                 gp = gx
             c0 = 0
-            for p, a in zip(parts, xs):
+            for p, (a, plans) in zip(parts, xs):
                 if p.requires_grad:
-                    p.accumulate_grad(gp[c0:c0 + len(a)])
+                    gpart = gp[c0:c0 + len(a)]
+                    p.accumulate_grad(gpart if plans is None else
+                                      _interp(gpart, plans, (1, 2, 3), transpose=True))
                 c0 += len(a)
     return _make(out, parts + (w, b), bwd)
+
+
+def _resampled(t: Tensor, plans) -> tuple:
+    """A resampled conv3d part ``(t, plans)`` as ``(t.data, plans)``, once
+    the plans are checked to fit t's ``(D, H, W)`` and to keep its depth."""
+    plans = tuple(plans)
+    if t.data.ndim != 4 or tuple(p.n_in for p in plans) != t.shape[1:]:
+        raise ShapeError(f"resample plans for {tuple(p.n_in for p in plans)} "
+                         f"do not fit {t.shape}")
+    pd = plans[0]
+    if pd.n_out != pd.n_in or pd.runs or pd.points:
+        raise ShapeError(f"a resampled conv3d part keeps its depth, not {pd.n_in} -> {pd.n_out}")
+    return t.data, plans
 
 
 def group_norm(x: Tensor, groups: int, gamma: Tensor, beta: Tensor,
@@ -1178,26 +1240,30 @@ def _interp_axis(arr: np.ndarray, plan: InterpPlan, ax: int, transpose: bool,
     return out
 
 
-def _interp(arr: np.ndarray, plans, axes, transpose: bool = False) -> np.ndarray:
+def _interp(arr: np.ndarray, plans, axes, transpose: bool = False,
+            out: np.ndarray | None = None) -> np.ndarray:
     """Apply per-axis plans (or their transposes) to ``axes`` of ``arr``.
 
     Contracting axes (and plans of equal extents that pick or mix
     samples) run first, outermost first; expanding axes run innermost
     first, so the strided pass along the last axis sees the smallest
     array. Transposes run in the reverse order. Identity axes (no runs and
-    no points) are skipped; the result is always a new array.
+    no points) are skipped. The result is written into ``out`` when given
+    (a view will do), else into a new array.
     """
     moving = [(ax, p) for ax, p in zip(axes, plans) if p.runs or p.points]
     steps = [(ax, p) for ax, p in moving if p.n_out <= p.n_in]
     steps += [(ax, p) for ax, p in moving if p.n_out > p.n_in][::-1]
     if transpose:
         steps = steps[::-1]
+    if out is None:
+        shape = list(arr.shape)
+        for ax, p in zip(axes, plans):
+            shape[ax] = p.n_in if transpose else p.n_out
+        out = np.empty(shape, arr.dtype)
     if not steps:
-        return arr.copy()
-    shape = list(arr.shape)
-    for ax, p in zip(axes, plans):
-        shape[ax] = p.n_in if transpose else p.n_out
-    out = np.empty(shape, arr.dtype)
+        np.copyto(out, arr)
+        return out
     if 0 in axes:
         chunks = [slice(None)]
     else:
@@ -1294,10 +1360,35 @@ def _up2_kernels(wd: np.ndarray, depth_edge: bool = False) -> np.ndarray:
 
 def _interleave(out: np.ndarray, y: np.ndarray) -> None:
     """Write the ``(8, C, D, H, W)`` phases ``y`` (ordered pd, ph, pw) into
-    ``out[c, 2m+pd, 2n+ph, 2k+pw]`` of the ``(C, 2D, 2H, 2W)`` output, one
-    strided copy per phase."""
+    ``out[c, 2m+pd, 2n+ph, 2k+pw]`` of a ``(C, 2D, 2H, 2W)`` output (or
+    the chunk of one they cover), one strided copy per phase."""
     for i, (pd, ph, pw) in enumerate(np.ndindex(2, 2, 2)):
         out[:, pd::2, ph::2, pw::2] = y[i]
+
+
+def _up2_phases(xd: np.ndarray, wd: np.ndarray, out: np.ndarray) -> None:
+    """Write the folded upsample-conv of ``xd`` into ``out``, ``(C_out, 2D,
+    2H, 2W)``, all but its H and W faces: per chunk of ``_unfold_chunks``
+    over x's grid (zero depth planes, an edge-replicate H and W border),
+    the ``8*C_out`` phases as the sum over row-shift groups of ``W_q @
+    view_q``, in group order; the depth-edge terms added to the first and
+    last slice's phases; then the phases interleaved into ``out``."""
+    cout = wd.shape[0]
+    _, d, h, wdt = xd.shape
+    we = _up2_kernels(wd, depth_edge=True)
+    edges = [_correlate((xd[:, z:z + 1],), (0, 1, 1), we[s * 8 * cout:(s + 1) * 8 * cout],
+                        (1, 1, 1), (1, h, wdt), edge=True) for s, z in ((0, 0), (1, d - 1))]
+    wq = _group_weights(_up2_kernels(wd), 1)
+    for zs, ys, views in _unfold_chunks((xd,), (1, 1, 1), (3, 3, 3), (1, 1, 1), (d, h, wdt),
+                                        edge=True):
+        y = np.matmul(wq[0], views[0])
+        for wm, v in zip(wq[1:], views[1:]):
+            y += wm @ v
+        for z, e in ((0, edges[0]), (d - 1, edges[1])):
+            if zs.start <= z < zs.stop:
+                y[z - zs.start] += e[:, 0, ys].reshape(len(e), -1)
+        _interleave(out[:, 2 * zs.start:2 * zs.stop, 2 * ys.start:2 * ys.stop],
+                    y.reshape(len(y), 8, cout, -1, wdt).transpose(1, 2, 0, 3, 4))
 
 
 def _up2_faces(ext, dtype):
@@ -1345,6 +1436,8 @@ def _upconv3d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     (``_up2_kernels``: one GEMM of the kernel with a constant stencil),
     whose GEMM reads the low-resolution unfold once for eight outputs, and
     an interleave of the phases into the ``(C_out, 2D, 2H, 2W)`` output.
+    Each chunk of ``_unfold_chunks`` has its phases computed and at once
+    interleaved into the output, so no whole phase array is built.
 
     The clamp is an edge-replicate pad of x by one sample. That is exact
     except on the first and last output plane of each axis, where the
@@ -1354,10 +1447,14 @@ def _upconv3d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     * depth: x is zero-padded along D, and what the first and last two
       output slices then lack (``_UP2_DEPTH_EDGE``) is added by one small
       correlation of x's first and one of its last slice: O(face) work
-      that does not grow with the depth, so thin depth windows stay cheap;
-    * H and W: x is edge-padded, and the two boundary planes of each axis
-      are recomputed unfused from the four upsampled planes they read
-      (``_up2_faces``), H then W, edges and corners included.
+      that does not grow with the depth, so thin depth windows stay cheap.
+      These terms are computed first and added to the first and last
+      slice's phases before they are interleaved;
+    * H and W: the slab of ``_unfold_chunks`` takes x's edge replicates on
+      its H and W border (no padded copy of x is made), and the two
+      boundary planes of each axis are recomputed unfused from the four
+      upsampled planes they read (``_up2_faces``), H then W, edges and
+      corners included.
 
     Each output voxel's arithmetic depends only on its sources, so a depth
     window reproduces the whole volume's output bit for bit outside its
@@ -1386,18 +1483,12 @@ def _upconv3d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         u = _interp(xd, plans, (1, 2, 3))
         out = _correlate((u,), (1, 1, 1), wd, (1, 1, 1), u.shape[1:])
     else:
-        xq = np.pad(xd, ((0, 0), (0, 0), (1, 1), (1, 1)), mode="edge")
-        we = _up2_kernels(wd, depth_edge=True)
-        y = _correlate((xq,), (1, 0, 0), _up2_kernels(wd), (1, 1, 1), ext)
-        y[:, :1] += _correlate((xq[:, :1],), (0, 0, 0), we[:8 * cout], (1, 1, 1), (1, h, wdt))
-        y[:, -1:] += _correlate((xq[:, -1:],), (0, 0, 0), we[8 * cout:], (1, 1, 1), (1, h, wdt))
-        del xq
-        out = np.empty((cout, 2 * d, 2 * h, 2 * wdt), y.dtype)
-        _interleave(out, y.reshape((8, cout) + ext))
-        del y
+        out = np.empty((cout, 2 * d, 2 * h, 2 * wdt), np.result_type(wd, xd))
+        _up2_phases(xd, wd, out)
         for face_plans, stride, shape, sel in _up2_faces(ext, xd.dtype):
-            u = _interp(xd, face_plans, (1, 2, 3))
-            out[sel] = _correlate((u,), (1, 1, 1), wd, stride, shape)
+            # each face's upsampled planes die before the next face's are made
+            out[sel] = _correlate((_interp(xd, face_plans, (1, 2, 3)),), (1, 1, 1), wd,
+                                  stride, shape)
     out += b.data[:, None, None, None]
     return Tensor(np.ascontiguousarray(out, dtype=xd.dtype))
 

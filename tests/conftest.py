@@ -115,6 +115,29 @@ def upconv3d_direct(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return conv3d_direct(up, np.asarray(w, np.float64), np.asarray(b, np.float64), 1, 1)
 
 
+def upconv3d_padded_fold(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The no-grad folded x2 upsample-conv built from whole arrays: an
+    edge-padded copy of x, the whole ``(8*C_out, D, H, W)`` phase array
+    with its depth-edge terms added, then one interleave; the oracle that
+    ``tensor._upconv3d``'s edge-bordered slab and per-chunk interleave
+    must match bit for bit."""
+    cout = w.shape[0]
+    _, d, h, wdt = x.shape
+    ext = (d, h, wdt)
+    xq = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)), mode="edge")
+    we = T._up2_kernels(w, depth_edge=True)
+    y = T._correlate((xq,), (1, 0, 0), T._up2_kernels(w), (1, 1, 1), ext)
+    y[:, :1] += T._correlate((xq[:, :1],), (0, 0, 0), we[:8 * cout], (1, 1, 1), (1, h, wdt))
+    y[:, -1:] += T._correlate((xq[:, -1:],), (0, 0, 0), we[8 * cout:], (1, 1, 1), (1, h, wdt))
+    out = np.empty((cout, 2 * d, 2 * h, 2 * wdt), y.dtype)
+    T._interleave(out, y.reshape((8, cout) + ext))
+    for face_plans, stride, shape, sel in T._up2_faces(ext, x.dtype):
+        u = T._interp(x, face_plans, (1, 2, 3))
+        out[sel] = T._correlate((u,), (1, 1, 1), w, stride, shape)
+    out += b[:, None, None, None]
+    return np.ascontiguousarray(out, dtype=x.dtype)
+
+
 def group_norm_direct(x, groups, gamma, beta, g, eps=1e-5, per_depth_slice=False):
     """Group norm and its backward written as whole-array expressions, each
     making fresh temporaries; the oracle that ``tensor.group_norm``'s

@@ -1,6 +1,8 @@
 """Super-resolution: degradation protocol, residual identity, slab/full
 consistency, loss gradients, training mechanics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -262,14 +264,34 @@ class TestSRInfer:
         assert calls == [(1, 32, 32, 32)]
 
     def test_decoder_pair_payload(self):
-        """At hr 64 the payload peaks at the decoder conv: its inputs, the
-        2 MiB upsample and the 1 MiB skip, its 1 MiB output and the
-        0.125 MiB input volume. Building their 3 MiB concat while the
-        0.5 MiB encoder output was still alive peaked at 6.625 MiB."""
+        """At hr 64 the decoder conv reads the 0.5 MiB encoder output
+        through its upsample plans and the 1 MiB skip, and holds them with
+        its 1 MiB output and the 0.125 MiB input volume: 2.625 MiB. The
+        payload then peaks at the final add, 3.125 MiB: the 1 MiB
+        trilinear base, the 1 MiB residual, their sum and the input.
+        Building the 2 MiB upsample peaked at 4.125 MiB, and building the
+        3 MiB concat beside it at 6.625 MiB."""
         state = build_sr(CFG, seed=29)
         lr = np.random.default_rng(30).uniform(-1, 1, (32, 32, 32)).astype(np.float32)
         peak = measured_memory(lambda: sr_infer(state, lr)).peak_total
-        assert peak <= 4.125 * 2 ** 20, f"payload peak {peak / 2 ** 20:.3f} MiB"
+        assert peak <= 3.125 * 2 ** 20, f"payload peak {peak / 2 ** 20:.3f} MiB"
+
+    def test_traced_peak_at_128(self):
+        """At hr 128 the traced peak (payload and op workspace) is set by
+        ``up_res``, the trilinear base: the 8 MiB residual, the 8 MiB base
+        and its resample's intermediate and tap products, 28.0 MiB. The
+        decoder conv no longer builds the 16 MiB upsample of the encoder
+        output, which peaked at 40.1 MiB."""
+        state = build_sr(SRConfig(hr_resolution=128).validate(), seed=29)
+        lr = np.random.default_rng(30).uniform(-1, 1, (64,) * 3).astype(np.float32)
+        tracemalloc.start()
+        try:
+            out = sr_infer(state, lr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (1, 128, 128, 128)
+        assert peak < 32 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
 
     def test_deterministic(self):
         state = build_sr(CFG, seed=21)
