@@ -411,6 +411,7 @@ class TestConv3dParts:
         w = rng.standard_normal((4, 5) + kt).astype(np.float32)
         b = rng.standard_normal(4).astype(np.float32)
         g = rng.standard_normal((4,) + _out_shape((1, d) + hw_out, w.shape, stride, pad))
+        g = g.astype(np.float32)
         if rows:
             _shrink_workspace(monkeypatch, (5, d) + hw_out, w.shape, stride, pad, 4, rows=True)
         plans = [T.interp_plan(n, m, False, np.float32)
@@ -422,7 +423,7 @@ class TestConv3dParts:
             inputs = (T.concat([T.resize3d(et, plans), ht], axis=0) if joined
                       else ((et, plans), ht))
             out = T.conv3d(inputs, wt, bt, stride, pad)
-            T.backward(T.tsum(T.mul(out, Tensor(g.astype(np.float32)))))
+            T.backward(T.tsum(T.mul(out, Tensor(g))))
             results.append([out.data] + [t.grad for t in (et, ht, wt, bt)])
         for got, want in zip(*results):
             assert got.dtype == want.dtype == np.float32 and np.array_equal(got, want)
