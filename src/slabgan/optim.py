@@ -67,6 +67,18 @@ def adam_step(store: ParamStore, lr: float, beta1: float = 0.0,
     Applies to parameters with ``requires_grad`` set. A trainable parameter
     without a gradient is a contract violation and raises. Gradients are
     left in place; the caller zeroes them explicitly.
+
+    The update works in place, in the moments, the parameter and one
+    scratch buffer per parameter (two halves, ``num`` and ``den``). For a
+    gradient of the parameter's dtype it makes the same float operations on
+    the same operands, in the same dtype, as the textbook expression
+
+        m = beta1*m + (1 - beta1)*g;  v = beta2*v + (1 - beta2)*(g*g)
+        p -= lr*(m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)
+
+    so its results are bit for bit those of that expression. Every
+    temporary is written with ``out=``: on 0-d arrays numpy returns a
+    scalar otherwise.
     """
     for name, p in store.params.items():
         if not p.requires_grad:
@@ -82,13 +94,15 @@ def adam_step(store: ParamStore, lr: float, beta1: float = 0.0,
         m, v, t = state
         t += 1
         g = p.grad
+        scratch = np.empty((2,) + p.data.shape, p.data.dtype)
+        num, den = scratch[0, ...], scratch[1, ...]     # arrays, also for a 0-d p
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += np.multiply(g, 1.0 - beta1, out=num)
         v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        mhat = m / (1.0 - beta1 ** t)
-        vhat = v / (1.0 - beta2 ** t)
-        p.data -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(p.data.dtype)
+        v += np.multiply(np.multiply(g, g, out=den), 1.0 - beta2, out=den)
+        np.multiply(np.divide(m, 1.0 - beta1 ** t, out=num), lr, out=num)
+        np.add(np.sqrt(np.divide(v, 1.0 - beta2 ** t, out=den), out=den), eps, out=den)
+        p.data -= np.divide(num, den, out=num)
         state[2] = t
 
 

@@ -47,6 +47,16 @@ resampled part (a Tensor with the plans of a resample that keeps depth)
 has its planes resampled there, so neither the concatenation nor the
 resample is built. Resampling runs through its axis passes one chunk of
 channels (``INTERP_CHUNK_BYTES`` of output) at a time.
+
+Per-call cost: training makes many small conv3d calls (one per sample,
+per depth slab), so each call's fixed cost is kept to a few numpy calls.
+The slab's sliding windows are one strided view made from its strides;
+the weights are relaid once per call, and each row-shift group's matrix
+is a view of that copy (the input gradient's kernel is written straight
+in that layout, at stride 1 as one copy of the flipped kernel); the chunk
+plan is memoised on its shapes and on ``CONV_WORKSPACE_BYTES``. None of
+this changes an operand or the order of any sum, so the outputs keep
+their bits.
 """
 
 from __future__ import annotations
@@ -57,7 +67,6 @@ import warnings
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class ShapeError(ValueError):
@@ -617,35 +626,43 @@ def _triple(v):
 CONV_WORKSPACE_BYTES = 1 << 20
 
 
-def _conv_chunks(k: int, out_shape, itemsize: int, halo: int = 0):
+def _conv_chunks(k: int, out_shape, itemsize: int, halo: int = 0) -> tuple:
     """Split a conv output ``(od, oh, ow)`` into chunks whose unfolded input
     fits the workspace: ``k`` matrix rows per output row, each ``ow``
     columns wide, over a chunk's output rows plus ``halo`` more rows.
 
-    Yields ``(zs, ys)`` slices of output depth and rows. A chunk holds whole
-    depth slices when one slice fits, otherwise rows of a single slice; a
-    single output row (with its halo) is the smallest chunk. The count of
-    slices (or rows) per chunk is a power of two, so a power-of-two volume
-    splits into equal chunks, and no GEMM is narrower than the rest: BLAS
-    kernels may round narrow products, or the columns past the last full
-    register panel, differently from the wide ones.
+    Returns ``(zs, ys)`` slices of output depth and rows. A chunk holds
+    whole depth slices when one slice fits, otherwise rows of a single
+    slice; a single output row (with its halo) is the smallest chunk. The
+    count of slices (or rows) per chunk is a power of two, so a power-of-two
+    volume splits into equal chunks, and no GEMM is narrower than the rest:
+    BLAS kernels may round narrow products, or the columns past the last
+    full register panel, differently from the wide ones. The plan is
+    memoised on these arguments and on ``CONV_WORKSPACE_BYTES``, read at
+    each call.
     """
+    return _chunk_plan(k, tuple(out_shape), itemsize, halo, CONV_WORKSPACE_BYTES)
+
+
+@functools.lru_cache(maxsize=256)
+def _chunk_plan(k: int, out_shape: tuple, itemsize: int, halo: int, budget: int) -> tuple:
+    """``_conv_chunks`` for a workspace of ``budget`` bytes."""
     od, oh, ow = out_shape
-    rows = max(1, CONV_WORKSPACE_BYTES // (k * ow * itemsize))
+    rows = max(1, budget // (k * ow * itemsize))
     if rows >= oh + halo:
         nz, ny = 1 << ((rows // (oh + halo)).bit_length() - 1), oh
     else:
         nz, ny = 1, 1 << (max(1, rows - halo).bit_length() - 1)
-    for z0 in range(0, od, nz):
-        for y0 in range(0, oh, ny):
-            yield slice(z0, min(z0 + nz, od)), slice(y0, min(y0 + ny, oh))
+    return tuple((slice(z0, min(z0 + nz, od)), slice(y0, min(y0 + ny, oh)))
+                 for z0 in range(0, od, nz) for y0 in range(0, oh, ny))
 
 
-def _row_groups(kh: int, sh: int) -> list[int]:
+@functools.lru_cache(maxsize=64)
+def _row_groups(kh: int, sh: int) -> tuple[int, ...]:
     """Row residues per row-shift group: row tap ``j = sh*q + r`` is residue
     ``r < min(sh, kh)`` shifted by ``q`` output rows, so group ``q`` holds
     residues ``0 .. n_q - 1``."""
-    return [min(sh, kh - sh * q) for q in range(-(-kh // sh))]
+    return tuple(min(sh, kh - sh * q) for q in range(-(-kh // sh)))
 
 
 def _unfold_rows(cin: int, ksize, stride) -> tuple[int, int]:
@@ -699,10 +716,11 @@ def _unfold_chunks(parts, pad, ksize, stride, out_shape, edge: bool = False):
     correlation may read more border past the input's end than before its
     start (a forward conv's slab is ``H + 2*ph`` rows or fewer). Planes
     outside ``[0, D)`` are zero, border included. The chunks' sliding
-    windows are views of that slab, so a plane is written about once, plus
-    the ``kd - sd`` planes that consecutive slabs share. The slab, and so
-    everything unfolded from it, is the one the concatenated, resampled,
-    padded array would give.
+    windows are one strided view of that slab, ``(ns, C, kd, kw, rows,
+    ow)``, made from the slab's strides when the slab is allocated, so a
+    plane is written about once, plus the ``kd - sd`` planes that
+    consecutive slabs share. The slab, and so everything unfolded from it,
+    is the one the concatenated, resampled, padded array would give.
 
     A chunk of ``nz`` output slices and ``ny`` output rows is then copied
     once into a ``(nz, nr*C*kd*kw, (ny + nq - 1) * ow)`` buffer: per output
@@ -741,8 +759,10 @@ def _unfold_chunks(parts, pad, ksize, stride, out_shape, edge: bool = False):
             slab = np.zeros((cin, (ns - 1) * sd + kd, max(h + ph, (oh - 1) * sh + kh),
                              max(wdt + pw, (ow - 1) * sw + kw)), x0.dtype)
             inner = slab[:, :, ph:ph + h, pw:pw + wdt]
-            win = sliding_window_view(slab, (kd, kw), axis=(1, 3))[:, ::sd, :, ::sw][:, :, :, :ow]
-            win = win.transpose(1, 0, 4, 5, 2, 3)    # (ns, C, kd, kw, Hp, ow)
+            # win[s, c, i, j, y, x] = slab[c, s*sd + i, y, x*sw + j]
+            cs, ps, hs, ws = slab.strides
+            win = np.ndarray((ns, cin, kd, kw, slab.shape[2], ow), slab.dtype, slab,
+                             strides=(sd * ps, cs, ps, ws, hs, sw * ws))
         if zs.start >= s_end:
             # planes z0 .. z0 + planes - 1 of x feed output slices s0 .. s_end - 1
             s0, s_end = zs.start, min(zs.start + ns, od)
@@ -767,7 +787,8 @@ def _unfold_chunks(parts, pad, ksize, stride, out_shape, edge: bool = False):
                 v[..., pw + wdt:] = v[..., pw + wdt - 1:pw + wdt]
         cols = buf[:nz * k * t * ow].reshape(nz, groups[0], cin, kd, kw, t, ow)
         for r in range(groups[0]):
-            src = win[zs.start - s0:zs.stop - s0, ..., ys.start * sh + r::sh, :][..., :t, :]
+            y0 = ys.start * sh + r
+            src = win[zs.start - s0:zs.stop - s0, :, :, :, y0:y0 + t * sh:sh]
             np.copyto(cols[:, r, ..., :src.shape[-2], :], src)
         flat = cols.reshape(nz, k, t * ow)
         yield zs, ys, [flat[:, :n * ck, q * ow:(q + ny) * ow] for q, n in enumerate(groups)]
@@ -775,9 +796,16 @@ def _unfold_chunks(parts, pad, ksize, stride, out_shape, edge: bool = False):
 
 def _group_weights(w: np.ndarray, sh: int) -> list[np.ndarray]:
     """The ``(C_out, C_in*kd*kw*n_q)`` weight matrix of each row-shift group,
-    columns in ``_unfold_chunks``' row order (r, C_in, kd, kw)."""
-    return [np.ascontiguousarray(w[:, :, :, sh * q:sh * q + n].transpose(0, 3, 1, 2, 4))
-            .reshape(w.shape[0], -1) for q, n in enumerate(_row_groups(w.shape[3], sh))]
+    columns in ``_unfold_chunks``' row order (r, C_in, kd, kw).
+
+    ``w`` is laid out once as a C-contiguous ``(C_out, kh, C_in, kd, kw)``
+    array (no copy if it already is, as ``_phase_weights`` returns it), and
+    group ``q``, row taps ``sh*q .. sh*q + n_q - 1``, is a view of it: rows
+    ``kh*C_in*kd*kw`` apart, which BLAS reads in place."""
+    cout, kh = w.shape[0], w.shape[3]
+    wt = np.ascontiguousarray(w.transpose(0, 3, 1, 2, 4)).reshape(cout, kh, -1)
+    return [wt[:, sh * q:sh * q + n].reshape(cout, -1)
+            for q, n in enumerate(_row_groups(kh, sh))]
 
 
 def _phase_weights(w: np.ndarray, stride, pad):
@@ -798,20 +826,24 @@ def _phase_weights(w: np.ndarray, stride, pad):
 
     Returns ``lo`` per axis and the ``(C_in*sd*sh*sw, C_out, kkd, kkh, kkw)``
     kernel of ``w`` (``(C_out, C_in, kd, kh, kw)``), output channels ordered
-    (C_in, rd, rh, rw). The phases are views of the padded flipped kernel,
-    copied once, straight into the memory order
-    (kkh, C_in*sd*sh*sw, C_out, kkd, kkw) in which ``_group_weights(., 1)``
-    takes each row tap's matrix as a view.
+    (C_in, rd, rh, rw). It is copied once, straight into the memory order
+    (C_in*sd*sh*sw, kkh, C_out, kkd, kkw) of ``_group_weights``, which then
+    takes each row tap's matrix as a view. At stride 1 that copy is of the
+    flipped, channel-swapped kernel itself; at other strides the phases are
+    views of the flipped kernel padded with zeros as above.
     """
     cout, cin, *ks = w.shape
     lo, start = zip(*(divmod(p + s - k, s) for k, s, p in zip(ks, stride, pad)))
+    if stride == (1, 1, 1):
+        flipped = w[..., ::-1, ::-1, ::-1].transpose(1, 3, 0, 2, 4)
+        return lo, np.ascontiguousarray(flipped).transpose(0, 2, 3, 1, 4)
     kkd, kkh, kkw = (-(-(a + k) // s) for a, k, s in zip(start, ks, stride))
     sd, sh, sw = stride
     wp = np.zeros((cout, cin, sd * kkd, sh * kkh, sw * kkw), w.dtype)
     wp[(...,) + tuple(slice(a, a + k) for a, k in zip(start, ks))] = w[..., ::-1, ::-1, ::-1]
     phases = wp.reshape(cout, cin, kkd, sd, kkh, sh, kkw, sw)[..., ::-1, :, ::-1, :, ::-1]
-    stacked = np.ascontiguousarray(phases.transpose(4, 1, 3, 5, 7, 0, 2, 6))
-    return lo, stacked.reshape(kkh, -1, cout, kkd, kkw).transpose(1, 2, 3, 0, 4)
+    stacked = np.ascontiguousarray(phases.transpose(1, 3, 5, 7, 4, 0, 2, 6))
+    return lo, stacked.reshape(-1, kkh, cout, kkd, kkw).transpose(0, 2, 3, 1, 4)
 
 
 def _chunk_view(a: np.ndarray, zs: slice, ys: slice) -> np.ndarray:

@@ -309,6 +309,100 @@ class TestConv3dChunked:
         assert peak < 24 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MB"
 
 
+    @pytest.mark.parametrize("rows", [False, True])
+    def test_warm_chunk_plan_follows_the_workspace(self, monkeypatch, rows):
+        """The chunk plan is memoised, so a conv run at the default workspace
+        leaves a warm plan for its shapes. A smaller workspace afterwards
+        must still split the same conv into at least three depth chunks, or
+        one output row per chunk in rows mode, in ``_conv_chunks`` and in
+        the chunks conv3d really unfolds; its output stays the direct
+        oracle's."""
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((3, 10, 9, 8))
+        w = rng.standard_normal((4, 3, 3, 3, 3))
+        b = rng.standard_normal(4)
+        T.conv3d(Tensor(x), Tensor(w), Tensor(b), 1, 1)
+        _shrink_workspace(monkeypatch, x.shape, w.shape, 1, 1, x.itemsize, rows)
+        unfold, seen = T._unfold_chunks, []
+
+        def spy(*args, **kw):
+            for zs, ys, views in unfold(*args, **kw):
+                seen.append((zs, ys))
+                yield zs, ys, views
+        monkeypatch.setattr(T, "_unfold_chunks", spy)
+        out = T.conv3d(Tensor(x), Tensor(w), Tensor(b), 1, 1).data
+        assert len({zs.start for zs, _ in seen}) >= 3
+        if rows:
+            assert all(ys.stop - ys.start == 1 for _, ys in seen)
+        direct = conv3d_direct(x, w, b, 1, 1)
+        assert np.abs(out - direct).max() / np.abs(direct).max() < 1e-12
+
+
+def _root(a):
+    """The array that owns the memory ``a`` views."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+def _row_groups_direct(kh, sh):
+    return [min(sh, kh - sh * q) for q in range(-(-kh // sh))]
+
+
+def _group_weights_direct(w, sh):
+    """Each row-shift group's weight matrix, copied group by group."""
+    return [np.ascontiguousarray(w[:, :, :, sh * q:sh * q + n].transpose(0, 3, 1, 2, 4))
+            .reshape(w.shape[0], -1) for q, n in enumerate(_row_groups_direct(w.shape[3], sh))]
+
+
+def _phase_weights_direct(w, stride, pad):
+    """The general construction of the phase-stacked input-gradient kernel:
+    the flipped kernel in a zero-padded staging array, its phases sliced
+    out of that."""
+    cout, cin, *ks = w.shape
+    lo, start = zip(*(divmod(p + s - k, s) for k, s, p in zip(ks, stride, pad)))
+    kkd, kkh, kkw = (-(-(a + k) // s) for a, k, s in zip(start, ks, stride))
+    sd, sh, sw = stride
+    wp = np.zeros((cout, cin, sd * kkd, sh * kkh, sw * kkw), w.dtype)
+    wp[(...,) + tuple(slice(a, a + k) for a, k in zip(start, ks))] = w[..., ::-1, ::-1, ::-1]
+    phases = wp.reshape(cout, cin, kkd, sd, kkh, sh, kkw, sw)[..., ::-1, :, ::-1, :, ::-1]
+    return lo, phases.transpose(1, 3, 5, 7, 0, 2, 4, 6).reshape(-1, cout, kkd, kkh, kkw)
+
+
+class TestConvWeightLayouts:
+    """The weight relayouts of conv3d, bit for bit against their direct
+    constructions."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kh", [1, 3, 4])
+    @pytest.mark.parametrize("sh", [1, 2])
+    def test_group_weights(self, sh, kh, dtype):
+        w = np.random.default_rng(kh + 10 * sh).standard_normal((5, 3, 2, kh, 3)).astype(dtype)
+        got = T._group_weights(w, sh)
+        want = _group_weights_direct(w, sh)
+        assert len(got) == len(want)
+        for g, h in zip(got, want):
+            assert g.dtype == h.dtype and g.shape == h.shape and np.array_equal(g, h)
+        # every group is a view of one relayout of w (w itself at kh = 1)
+        roots = {id(_root(g)) for g in got}
+        assert len(roots) == 1 and (id(w) in roots) == (kh == 1)
+
+    @pytest.mark.parametrize("k,stride,pad", CONV_CASES)
+    def test_phase_weights(self, k, stride, pad):
+        """Stride 1 copies the flipped, channel-swapped kernel once, with no
+        staging array; every stride gives the direct construction's values,
+        laid out so that ``_group_weights(., 1)`` copies nothing."""
+        st, pd = T._triple(stride), T._triple(pad)
+        w = np.random.default_rng(zlib.crc32(repr((k, stride, pad)).encode())) \
+            .standard_normal((4, 3) + tuple(np.broadcast_to(k, 3))).astype(np.float32)
+        lo, got = T._phase_weights(w, st, pd)
+        want_lo, want = _phase_weights_direct(w, st, pd)
+        assert lo == want_lo and got.shape == want.shape and np.array_equal(got, want)
+        if st == (1, 1, 1):
+            assert np.array_equal(got, w[..., ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4))
+        assert all(_root(g) is _root(got) for g in T._group_weights(got, 1))
+
+
 class TestConv3dParts:
     """conv3d on a tuple of Tensors, read as their channel concatenation."""
 
@@ -1232,6 +1326,34 @@ class TestAdam:
         optimize(store, lr=0.1, clip_norm=2.0)
         # gradient (12, -16) has norm 20; clipping rescales it to norm 2
         assert np.allclose(seen[0], [1.2, -1.6])
+
+    @pytest.mark.parametrize("shape", [(), (257,), (4, 8, 8, 8)])
+    @pytest.mark.parametrize("beta1", [0.0, 0.9])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_textbook_bitwise(self, dtype, beta1, shape):
+        """Three in-place steps give the bits of the textbook expression,
+        evaluated with fresh temporaries, in moments and parameters, for a
+        0-d parameter too; the gradient is left as it was."""
+        rng = np.random.default_rng(zlib.crc32(repr((dtype, beta1, shape)).encode()))
+        lr, beta2, eps = 1e-3, 0.999, 1e-8
+        store = ParamStore()
+        p = store.register("net/w", Tensor(rng.standard_normal(shape).astype(dtype)))
+        want, m, v = p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)
+        for t in range(1, 4):
+            g = rng.standard_normal(shape).astype(dtype)
+            p.grad = g.copy()
+            adam_step(store, lr, beta1=beta1, beta2=beta2, eps=eps)
+            m = beta1 * m + (1.0 - beta1) * g
+            v = beta2 * v + (1.0 - beta2) * (g * g)
+            mhat = m / (1.0 - beta1 ** t)
+            vhat = v / (1.0 - beta2 ** t)
+            want = want - (lr * mhat / (np.sqrt(vhat) + eps)).astype(dtype)
+            sm, sv, st = store.adam_state["net/w"]
+            assert type(p.data) is np.ndarray and p.data.shape == shape and st == t
+            assert p.data.dtype == sm.dtype == sv.dtype == dtype
+            assert np.array_equal(p.grad, g)
+            assert np.array_equal(sm, m) and np.array_equal(sv, v)
+            assert np.array_equal(p.data, want)
 
 
 # a small ParamStore, built the same way in this process and in subprocesses
