@@ -308,7 +308,6 @@ class TestConv3dChunked:
         assert out.shape == (1, 128, 128, 128)
         assert peak < 24 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MB"
 
-
     @pytest.mark.parametrize("rows", [False, True])
     def test_warm_chunk_plan_follows_the_workspace(self, monkeypatch, rows):
         """The chunk plan is memoised, so a conv run at the default workspace
