@@ -71,7 +71,12 @@ border at a time. Taped, it keeps the upsampled input for backward, and
 so does its stand-in. The SR decoder's conv reads the upsample of the
 encoder output (``Interp((1, 2, 2))``) as a resampled part: it resamples
 only the planes of its slab, so that upsample is neither payload nor
-workspace, taped or not.
+workspace, taped or not. Without a tape the SR generator's last step adds
+its trilinear base (``up_res``) into the residual head's output in place,
+resampling a run of depth slices (plus a one-slice halo) at a time, so
+neither the base nor the sum is payload; its workspace is one run's
+resample, about ``tensor.CONV_WORKSPACE_BYTES`` of output with its
+intermediates. Taped, the base and the sum are both payload.
 """
 
 from __future__ import annotations

@@ -51,12 +51,13 @@ channels (``INTERP_CHUNK_BYTES`` of output) at a time.
 Per-call cost: training makes many small conv3d calls (one per sample,
 per depth slab), so each call's fixed cost is kept to a few numpy calls.
 The slab's sliding windows are one strided view made from its strides;
-the weights are relaid once per call, and each row-shift group's matrix
-is a view of that copy (the input gradient's kernel is written straight
-in that layout, at stride 1 as one copy of the flipped kernel); the chunk
-plan is memoised on its shapes and on ``CONV_WORKSPACE_BYTES``. None of
-this changes an operand or the order of any sum, so the outputs keep
-their bits.
+the weights are relaid once per call, one kw tap at a time, and each
+row-shift group's matrix is a view of that copy (the input gradient's
+kernel is written straight in that layout, at stride 1 as one copy of the
+flipped kernel); the chunk plan is memoised on its shapes and on
+``CONV_WORKSPACE_BYTES``. An untaped ``spectral_norm`` builds nothing for
+a backward. None of this changes an operand or the order of any sum, so
+the outputs keep their bits.
 """
 
 from __future__ import annotations
@@ -801,9 +802,16 @@ def _group_weights(w: np.ndarray, sh: int) -> list[np.ndarray]:
     ``w`` is laid out once as a C-contiguous ``(C_out, kh, C_in, kd, kw)``
     array (no copy if it already is, as ``_phase_weights`` returns it), and
     group ``q``, row taps ``sh*q .. sh*q + n_q - 1``, is a view of it: rows
-    ``kh*C_in*kd*kw`` apart, which BLAS reads in place."""
-    cout, kh = w.shape[0], w.shape[3]
-    wt = np.ascontiguousarray(w.transpose(0, 3, 1, 2, 4)).reshape(cout, kh, -1)
+    ``kh*C_in*kd*kw`` apart, which BLAS reads in place. The layout is
+    copied one kw tap at a time, so each copy's inner loop runs over
+    ``C_in*kd`` elements rather than over the few of kw."""
+    cout, cin, kd, kh, kw = w.shape
+    wt = w.transpose(0, 3, 1, 2, 4)
+    if not wt.flags.c_contiguous:
+        wt = np.empty((cout, kh, cin, kd, kw), w.dtype)
+        for j in range(kw):
+            wt[..., j] = w[..., j].transpose(0, 3, 1, 2)
+    wt = wt.reshape(cout, kh, -1)
     return [wt[:, sh * q:sh * q + n].reshape(cout, -1)
             for q, n in enumerate(_row_groups(kh, sh))]
 
@@ -1580,11 +1588,14 @@ def spectral_norm(w: Tensor, u: np.ndarray, power_iters: int = 1, update: bool =
         return _make(w.data.copy(), (w,), bwd_id), u
     inv = 1.0 / sigma
     out = w.data * inv
+    if not (_tape.enabled and w.requires_grad):
+        return _make(out, (w,), None), u
+    # built now: with update=False, u_new is the persisted u, which a later
+    # call may overwrite before this backward runs
     uv = np.outer(u_new, v).reshape(w.data.shape).astype(w.dtype)
-    wbar = out
 
     def bwd(g):
         if w.requires_grad:
-            coef = float((g * wbar).sum())
+            coef = float((g * out).sum())
             w.accumulate_grad((g - coef * uv) * inv)
-    return _make(out.astype(w.dtype), (w,), bwd), u
+    return _make(out, (w,), bwd), u

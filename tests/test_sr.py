@@ -113,6 +113,33 @@ class TestGenerator:
             assert rel_err(ana, num) < 1e-4, name
         state.store.zero_grads()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("depth,run", sorted({(d, max(1, d + o)) for d in (1, 2, 3, 5)
+                                                  for o in (-1, 0, 1)} | {(5, 1), (5, 2)}))
+    def test_fused_base_add_bitwise(self, monkeypatch, dtype, depth, run):
+        """Without a tape, forward adds the trilinear base into the residual
+        a run of low-resolution depth slices at a time. With non-zero
+        residual weights it has the bits of ``T.add(up_res(lr), res)`` for
+        runs shorter than, as long as and longer than the volume's depth."""
+        cfg = SRConfig(hr_resolution=16, subvol_len=4, width=2).validate()
+        state = build_sr(cfg, seed=40, dtype=dtype)
+        rng = np.random.default_rng(41)
+        for name, p in state.store.params.items():
+            if name.startswith("sr_g/res/"):
+                p.data[...] = rng.standard_normal(p.data.shape) * 0.2
+        lr = Tensor(rng.uniform(-1, 1, (1, depth, 8, 8)).astype(dtype))
+        # a run's output is two 16 x 16 slices per low-resolution slice
+        monkeypatch.setattr(T, "CONV_WORKSPACE_BYTES", run * 2 * 16 * 16 * np.dtype(dtype).itemsize)
+        with no_grad():
+            got = state.gen(lr, training=False).data
+            with monkeypatch.context() as m:
+                m.setattr(SRGenerator, "_add_base",
+                          lambda gen, x, res: T.add(gen.up_res.forward(x, False), res))
+                want = state.gen(lr, training=False).data
+        assert got.dtype == dtype and got.shape == (1, 2 * depth, 16, 16)
+        assert not np.array_equal(want, upsample2(lr.data))
+        assert np.array_equal(got, want)
+
     def test_slab_full_consistency(self):
         """Slab-trained forward equals the matching crop of the full-volume
         forward outside the documented margin, for every window."""
@@ -264,24 +291,26 @@ class TestSRInfer:
         assert calls == [(1, 32, 32, 32)]
 
     def test_decoder_pair_payload(self):
-        """At hr 64 the decoder conv reads the 0.5 MiB encoder output
-        through its upsample plans and the 1 MiB skip, and holds them with
-        its 1 MiB output and the 0.125 MiB input volume: 2.625 MiB. The
-        payload then peaks at the final add, 3.125 MiB: the 1 MiB
-        trilinear base, the 1 MiB residual, their sum and the input.
-        Building the 2 MiB upsample peaked at 4.125 MiB, and building the
-        3 MiB concat beside it at 6.625 MiB."""
+        """At hr 64 the payload peaks at the decoder conv, 2.625 MiB: it
+        reads the 0.5 MiB encoder output through its upsample plans and the
+        1 MiB skip, and holds them with its 1 MiB output and the 0.125 MiB
+        input volume. The tail adds the trilinear base into the 1 MiB
+        residual in place, so neither the base nor the sum is payload; the
+        final add of the two peaked at 3.125 MiB. Building the 2 MiB
+        upsample peaked at 4.125 MiB, and building the 3 MiB concat beside
+        it at 6.625 MiB."""
         state = build_sr(CFG, seed=29)
         lr = np.random.default_rng(30).uniform(-1, 1, (32, 32, 32)).astype(np.float32)
         peak = measured_memory(lambda: sr_infer(state, lr)).peak_total
-        assert peak <= 3.125 * 2 ** 20, f"payload peak {peak / 2 ** 20:.3f} MiB"
+        assert peak <= 2.625 * 2 ** 20, f"payload peak {peak / 2 ** 20:.3f} MiB"
 
     def test_traced_peak_at_128(self):
         """At hr 128 the traced peak (payload and op workspace) is set by
-        ``up_res``, the trilinear base: the 8 MiB residual, the 8 MiB base
-        and its resample's intermediate and tap products, 28.0 MiB. The
-        decoder conv no longer builds the 16 MiB upsample of the encoder
-        output, which peaked at 40.1 MiB."""
+        the decoder conv, 21.5 MiB. The tail resamples the trilinear base a
+        run of depth slices at a time and adds each run into the 8 MiB
+        residual; the whole base with its resample's intermediate and tap
+        products, then the sum beside it, peaked at 28.0 MiB. Building the
+        16 MiB upsample of the encoder output peaked at 40.1 MiB."""
         state = build_sr(SRConfig(hr_resolution=128).validate(), seed=29)
         lr = np.random.default_rng(30).uniform(-1, 1, (64,) * 3).astype(np.float32)
         tracemalloc.start()
@@ -291,7 +320,7 @@ class TestSRInfer:
         finally:
             tracemalloc.stop()
         assert out.shape == (1, 128, 128, 128)
-        assert peak < 32 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
+        assert peak < 22.5 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
 
     def test_deterministic(self):
         state = build_sr(CFG, seed=21)
