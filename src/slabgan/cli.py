@@ -2,7 +2,8 @@
 
 Every stochastic subcommand requires --seed. Exit codes: 0 success,
 1 usage error, 2 runtime failure. Run directories get a manifest echoing
-the resolved configuration and the build fingerprint.
+the resolved configuration and the build fingerprint; a command that loads
+a checkpoint adds the model's stored config as ``checkpoint_config``.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -99,6 +101,23 @@ def _read_labels(path):
     return table
 
 
+def _volume_classes(path, names) -> list:
+    """Each volume's class, from ``labels.tsv`` in directory ``path``; a
+    missing file or a volume without a row is a UsageError naming them."""
+    lab_path = os.path.join(path, "labels.tsv")
+    table = _read_labels(lab_path) if os.path.exists(lab_path) else {}
+    missing = [n for n in names if n not in table]
+    if missing:
+        raise UsageError(f"class-conditional model: no class for {missing[:5]} "
+                         f"in {lab_path}")
+    return [int(table[n]["class"]) for n in names]
+
+
+def _model_config(state) -> dict:
+    """The loaded checkpoint's stored config, echoed beside the run config."""
+    return {"checkpoint_config": asdict(state.cfg)}
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -128,11 +147,7 @@ def cmd_phantoms(args) -> int:
 def _training_data(cfg: RunConfig, args):
     if getattr(args, "data", None):
         names, vols = _load_volume_dir(args.data)
-        labels = None
-        lab_path = os.path.join(args.data, "labels.tsv")
-        if os.path.exists(lab_path):
-            table = _read_labels(lab_path)
-            labels = np.array([int(table[n]["class"]) for n in names])
+        labels = np.array(_volume_classes(args.data, names)) if cfg.num_classes else None
         return np.stack(vols), labels
     from .phantoms import phantom_dataset
     vols, labels, _ = phantom_dataset(cfg.n_phantoms,
@@ -148,8 +163,6 @@ def cmd_train(args) -> int:
     out = _ensure_out(cfg)
     vols, labels = _training_data(cfg, args)
     net_cfg = cfg.net_config()
-    if net_cfg.num_classes and labels is None:
-        raise UsageError("conditional training needs labeled data")
     state = init_train_state(net_cfg, seed=cfg.seed, weights=cfg.loss_weights(),
                              lr_g=cfg.lr_g, lr_d=cfg.lr_d, lr_e=cfg.lr_e,
                              batch_size=cfg.batch_size,
@@ -196,7 +209,8 @@ def cmd_generate(args) -> int:
         z = rng.standard_normal(mc.latent_dim).astype(np.float32)
         vol = generate_full(state.nets, z, c=_class_index(args, mc, rng))
         volume_write(os.path.join(out, f"gen_{i:04d}.hagv"), vol)
-    write_manifest(out, cfg, {"n_volumes": args.n, "checkpoint": args.checkpoint})
+    write_manifest(out, cfg, {"n_volumes": args.n, "checkpoint": args.checkpoint,
+                              **_model_config(state)})
     print(f"wrote {args.n} volumes to {out}")
     return 0
 
@@ -209,7 +223,7 @@ def cmd_encode(args) -> int:
     names, vols = _load_volume_dir(args.input)
     out_path = args.out or "latents.tsv"
     with open(out_path, "w") as f:
-        f.write("# " + artifact_header(cfg) + "\n")
+        f.write("# " + artifact_header(cfg, _model_config(state)) + "\n")
         f.write("name\t" + "\t".join(f"z{i}" for i in range(state.cfg.latent_dim)) + "\n")
         for name, vol in zip(names, vols):
             code = encode_full(state.nets, vol)
@@ -224,21 +238,15 @@ def cmd_reconstruct(args) -> int:
     cfg = _run_config(args)
     state = load_checkpoint(args.checkpoint)
     names, vols = _load_volume_dir(args.input)
-    classes = [None] * len(names)
-    if state.cfg.num_classes:
-        # a conditional model decodes each volume as the class labels.tsv gives it
-        lab_path = os.path.join(args.input, "labels.tsv")
-        table = _read_labels(lab_path) if os.path.exists(lab_path) else {}
-        missing = [n for n in names if n not in table]
-        if missing:
-            raise UsageError(f"class-conditional checkpoint: no class for {missing[:5]} "
-                             f"in {lab_path}")
-        classes = [int(table[n]["class"]) for n in names]
+    # a conditional model decodes each volume as the class labels.tsv gives it
+    classes = (_volume_classes(args.input, names) if state.cfg.num_classes
+               else [None] * len(names))
     out = _ensure_out(cfg)
     for name, vol, c in zip(names, vols, classes):
         rec = reconstruct(state.nets, vol, c=c)
         volume_write(os.path.join(out, name.replace(".hagv", "_rec.hagv")), rec)
-    write_manifest(out, cfg, {"n_volumes": len(names), "source": args.input})
+    write_manifest(out, cfg, {"n_volumes": len(names), "source": args.input,
+                              **_model_config(state)})
     print(f"reconstructed {len(names)} volumes into {out}")
     return 0
 
@@ -256,7 +264,7 @@ def cmd_interpolate(args) -> int:
     vols = interpolate(state.nets, z_a, z_b, args.n, c=_class_index(args, mc, rng))
     for i, v in enumerate(vols):
         volume_write(os.path.join(out, f"interp_{i:02d}.hagv"), v)
-    write_manifest(out, cfg, {"n_volumes": len(vols)})
+    write_manifest(out, cfg, {"n_volumes": len(vols), **_model_config(state)})
     print(f"wrote {len(vols)} interpolation volumes to {out}")
     return 0
 
@@ -386,7 +394,7 @@ def cmd_sr_eval(args) -> int:
     for name in ("baseline", "sr"):
         a = np.mean(stats[name], axis=0)
         rows.append(f"{name}\t{a[0]:.4f}\t{a[1]:.4f}\t{a[2]:.2f}")
-    text = "# " + artifact_header(cfg) + "\n" + "\n".join(rows)
+    text = "# " + artifact_header(cfg, _model_config(state)) + "\n" + "\n".join(rows)
     if args.out:
         with open(args.out, "w") as f:
             f.write(text + "\n")
@@ -412,7 +420,7 @@ def cmd_augment_study(args) -> int:
                            vols[n_train:], labels[n_train:],
                            seed=args.seed,
                            classifier_steps=args.classifier_steps)
-    text = "# " + artifact_header(cfg) + "\n" + study_table(result)
+    text = "# " + artifact_header(cfg, _model_config(state)) + "\n" + study_table(result)
     if args.out:
         with open(args.out, "w") as f:
             f.write(text + "\n")

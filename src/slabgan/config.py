@@ -6,7 +6,8 @@ type. Command-line flags override file values. The only environment
 variable honored anywhere is ``SLABGAN_OUT`` (output directory override).
 
 Every output artifact embeds the resolved config plus a build fingerprint
-(a hash over the package sources) so results stay attributable.
+(a hash over the package sources) so results stay attributable; one made
+from a checkpoint also embeds the model's stored config.
 """
 
 from __future__ import annotations
@@ -135,15 +136,15 @@ def build_fingerprint() -> str:
     return h.hexdigest()[:12]
 
 
-def artifact_header(cfg: RunConfig) -> str:
-    """One JSON line echoing the config and build fingerprint."""
-    return json.dumps({"config": asdict(cfg), "fingerprint": build_fingerprint()},
-                      sort_keys=True)
+def _echo(cfg: RunConfig, extra: dict | None) -> dict:
+    return {"config": asdict(cfg), "fingerprint": build_fingerprint(), **(extra or {})}
+
+
+def artifact_header(cfg: RunConfig, extra: dict | None = None) -> str:
+    """One JSON line echoing the config and build fingerprint, plus ``extra``."""
+    return json.dumps(_echo(cfg, extra), sort_keys=True)
 
 
 def write_manifest(out_dir, cfg: RunConfig, extra: dict | None = None) -> None:
-    payload = {"config": asdict(cfg), "fingerprint": build_fingerprint()}
-    if extra:
-        payload.update(extra)
     with open(os.path.join(out_dir, "manifest.json"), "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
+        json.dump(_echo(cfg, extra), f, indent=2, sort_keys=True)

@@ -91,7 +91,7 @@ class Dense(Layer):
     def forward(self, x, training):
         w = self.w
         if self.spectral:
-            w, _ = T.spectral_norm(self.w, self.u, update=training)
+            w = T.spectral_norm(self.w, self.u, update=training)
         return T.dense(x, w, self.b)
 
 
@@ -140,7 +140,7 @@ class Conv3d(Layer):
     def forward(self, x, training):
         w = self.w
         if self.spectral:
-            w, _ = T.spectral_norm(self.w, self.u, update=training)
+            w = T.spectral_norm(self.w, self.u, update=training)
         return T.conv3d(x, w, self.b, stride=self.stride, pad=self.pad)
 
 
@@ -305,7 +305,7 @@ class MeanPool(Layer):
         return "AvgPool"
 
     def forward(self, x, training):
-        return T.mean_axes(x, self.axes, keepdims=True)
+        return T.mean_axes(x, self.axes)
 
 
 class Sequential:

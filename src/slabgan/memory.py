@@ -46,37 +46,19 @@ which the stand-in does not price.
 
 Both models count tensor payload bytes only (no allocator slack, no
 numpy temporaries inside ops), so trends rather than absolute megabytes
-are the meaningful output. conv3d's uncounted op workspace is one slab
-of the padded input planes of a run of output slices (a few planes of
-the input, never the whole padded volume) plus an unfold buffer of at
-most ``tensor.CONV_WORKSPACE_BYTES`` (the depth and width taps, with the
-row taps read as offset views); neither grows with the volume's depth.
-Its input gradient is one such correlation of the output gradient. At
-stride 1 that correlation's output is the input gradient itself; at
-larger strides backward adds it, about the size of the input gradient,
-and interleaves the stride phases from it. Group norm and leaky ReLU
-write into their output and hold nothing input-sized beyond it, so a
-no-grad pass through them adds no uncounted workspace of the input's
-size; group norm's backward adds two input-sized buffers (the recomputed
-normalized input and one product buffer).
+are the meaningful output. What an op holds as uncounted workspace beside
+its payload is written down once, where the op is: in the ``tensor``
+module docstring, and for the x2 upsample-conv and the SR generator's
+tail in ``layers.UpConv3d`` and ``sr.SRGenerator``.
 
-A conv that reads the x2 upsample of its input is one listing row
-(``UpConv3d``, "Conv3D 3x3x3, 1 after x2 Interpolation"). Without a tape
-it never builds the upsampled tensor, so a no-grad pass counts only the
-row's output; its uncounted workspace is conv3d's (one slab of a few
-input planes, bordered along H and W by their edge replicates, and one
-unfold buffer), one chunk's phases, which are interleaved into the output
-as soon as they are computed, and the upsampled planes of one H or W
-border at a time. Taped, it keeps the upsampled input for backward, and
-so does its stand-in. The SR decoder's conv reads the upsample of the
-encoder output (``Interp((1, 2, 2))``) as a resampled part: it resamples
-only the planes of its slab, so that upsample is neither payload nor
-workspace, taped or not. Without a tape the SR generator's last step adds
-its trilinear base (``up_res``) into the residual head's output in place,
-resampling a run of depth slices (plus a one-slice halo) at a time, so
-neither the base nor the sum is payload; its workspace is one run's
-resample, about ``tensor.CONV_WORKSPACE_BYTES`` of output with its
-intermediates. Taped, the base and the sum are both payload.
+What the model counts of those: a conv that reads the x2 upsample of its
+input is one listing row (``UpConv3d``, "Conv3D 3x3x3, 1 after x2
+Interpolation"); taped, it keeps the upsampled input for backward, and so
+does its stand-in, while a no-grad pass counts only the row's output. The
+SR decoder's conv reads the upsample of the encoder output as a resampled
+part, so that upsample is never payload. Without a tape the SR generator
+adds its trilinear base into the residual head's output in place, so
+neither the base nor the sum is payload; taped, both are.
 """
 
 from __future__ import annotations

@@ -156,8 +156,7 @@ class SRGenerator:
         d = act.forward(d, training)
         res = self.residual_head(d, training)
         del d
-        if (T.active_tape().enabled and (lr.requires_grad or res.requires_grad)
-                or lr.dtype != res.dtype):
+        if T.active_tape().enabled and (lr.requires_grad or res.requires_grad):
             return T.add(self.up_res.forward(lr, training), res)
         return self._add_base(lr, res)
 

@@ -40,7 +40,8 @@ slab into one reused buffer of at most ``CONV_WORKSPACE_BYTES``; the
 buffer holds the depth and width taps only, and the row taps are offset
 views of it. The slab's H and W border is zero, or the input's edge
 replicates for the no-grad x2 upsample-conv, whose phases are written
-into its output one chunk at a time. conv3d also takes a tuple of parts
+into its output one chunk at a time (its H and W border faces are
+upsampled one at a time). conv3d also takes a tuple of parts
 as its input, read as their concatenation along channels: each Tensor's
 planes are copied into its own channel range of the slab, and a
 resampled part (a Tensor with the plans of a resample that keeps depth)
@@ -55,9 +56,14 @@ the weights are relaid once per call, one kw tap at a time, and each
 row-shift group's matrix is a view of that copy (the input gradient's
 kernel is written straight in that layout, at stride 1 as one copy of the
 flipped kernel); the chunk plan is memoised on its shapes and on
-``CONV_WORKSPACE_BYTES``. An untaped ``spectral_norm`` builds nothing for
-a backward. None of this changes an operand or the order of any sum, so
-the outputs keep their bits.
+``CONV_WORKSPACE_BYTES``. None of this changes an operand or the order of
+any sum, so the outputs keep their bits.
+
+``spectral_norm`` makes one estimate, for training and eval calls alike,
+and a training call moves the persisted ``u`` one power step. An untaped
+call builds nothing for a backward; a taped one keeps its own copy of
+``u`` and its ``v`` (two vectors, not a weight-sized array) and forms their
+outer product in backward.
 """
 
 from __future__ import annotations
@@ -392,15 +398,15 @@ def tmean(a: Tensor) -> Tensor:
     return _make(np.asarray(a.data.mean(), dtype=a.dtype), (a,), bwd)
 
 
-def mean_axes(a: Tensor, axes, keepdims: bool = True) -> Tensor:
+def mean_axes(a: Tensor, axes) -> Tensor:
+    """Mean over ``axes``, kept as axes of extent 1."""
     axes = tuple(axes)
     n = int(np.prod([a.data.shape[ax] for ax in axes]))
-    out = a.data.mean(axis=axes, keepdims=keepdims)
+    out = a.data.mean(axis=axes, keepdims=True)
 
     def bwd(g):
         if a.requires_grad:
-            gg = g if keepdims else np.expand_dims(g, axes)
-            a.accumulate_grad(np.broadcast_to(gg / n, a.data.shape).copy())
+            a.accumulate_grad(np.broadcast_to(g / n, a.data.shape).copy())
     return _make(out, (a,), bwd)
 
 
@@ -1535,67 +1541,51 @@ def _upconv3d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 # -- spectral normalization ---------------------------------------------------
 
 
-def power_iterate(wmat: np.ndarray, u: np.ndarray, iters: int):
-    """Run power iteration; returns (u, v, sigma). Degenerate -> sigma 0."""
-    eps = 1e-12
-    v = None
-    for _ in range(max(1, iters)):
-        wv = wmat.T @ u
-        nv = np.linalg.norm(wv)
-        if nv < eps:
-            return u, None, 0.0
-        v = wv / nv
-        wu = wmat @ v
-        nu = np.linalg.norm(wu)
-        if nu < eps:
-            return u, v, 0.0
-        u = wu / nu
-    sigma = float(u @ wmat @ v)
-    return u, v, abs(sigma)
-
-
-def spectral_norm(w: Tensor, u: np.ndarray, power_iters: int = 1, update: bool = True):
+def spectral_norm(w: Tensor, u: np.ndarray, update: bool = True) -> Tensor:
     """Divide a weight by its estimated top singular value.
 
-    The weight is viewed as a matrix (first axis = output channels, rest
-    flattened). ``u`` is the persisted left singular vector estimate and is
-    updated in place across steps; with ``update=False`` (eval mode) sigma
-    is estimated from the stored ``u`` without touching it. Returns
-    ``(w_normalized, u)``. A zero weight is returned unchanged with a
-    warning.
+    The weight is viewed as a matrix W (first axis = output channels, rest
+    flattened), and ``u`` is the persisted left singular vector estimate.
+    One estimate serves training and eval calls: v = W^T u / |W^T u|; a
+    training call (``update``) then moves ``u`` one power step, in place,
+    to W v / |W v|; sigma = |u^T W v| with the ``u`` the call ends with.
+    k training calls take ``u`` through k power steps. A zero weight is
+    returned unchanged with a warning (a NaN weight is not degenerate: its
+    NaN reaches ``u`` and the output).
 
-    Gradient treats u, v as constants: d(W/sigma) with sigma = u^T W v.
+    Gradient treats u, v as constants: d(W/sigma) with sigma = u^T W v. A
+    taped call keeps its own copy of ``u``, since a later call may update
+    the persisted one before this backward runs.
     """
     wmat = w.data.reshape(w.data.shape[0], -1)
-    if update:
-        u_new, v, sigma = power_iterate(wmat, u, power_iters)
-        u[:] = u_new
-    else:
-        u_new = u
-        wv = wmat.T @ u
-        nv = np.linalg.norm(wv)
-        if nv < 1e-12:
-            v, sigma = None, 0.0
-        else:
-            v = wv / nv
-            sigma = abs(float(u @ wmat @ v))
+    wv = wmat.T @ u
+    nv = np.linalg.norm(wv)
+    live = not nv < 1e-12
+    if live:
+        v = wv / nv
+        if update:
+            wu = wmat @ v
+            nu = np.linalg.norm(wu)
+            live = not nu < 1e-12
+            if live:
+                u[:] = wu / nu
+    sigma = abs(float(u @ wmat @ v)) if live else 0.0
     if sigma == 0.0:
         warnings.warn("spectral_norm: degenerate (zero) weight, returned unchanged")
 
         def bwd_id(g):
             if w.requires_grad:
                 w.accumulate_grad(g)
-        return _make(w.data.copy(), (w,), bwd_id), u
+        return _make(w.data.copy(), (w,), bwd_id)
     inv = 1.0 / sigma
     out = w.data * inv
     if not (_tape.enabled and w.requires_grad):
-        return _make(out, (w,), None), u
-    # built now: with update=False, u_new is the persisted u, which a later
-    # call may overwrite before this backward runs
-    uv = np.outer(u_new, v).reshape(w.data.shape).astype(w.dtype)
+        return _make(out, (w,), None)
+    u_call = u.copy()
 
     def bwd(g):
         if w.requires_grad:
             coef = float((g * out).sum())
+            uv = np.outer(u_call, v).reshape(w.data.shape).astype(w.dtype)
             w.accumulate_grad((g - coef * uv) * inv)
-    return _make(out, (w,), bwd), u
+    return _make(out, (w,), bwd)

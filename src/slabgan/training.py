@@ -162,9 +162,8 @@ def recon_global_loss(state: TrainState, vol: np.ndarray, low: np.ndarray,
     """Low-res plus windowed high-res reconstruction error from the full
     hierarchical encoding; only e_g is meant to learn from it."""
     nets = state.nets
-    a = nets.g_a(nets.latent_input(nets.encode(Tensor(vol[None])), label))
-    rec_low = nets.g_l(a)
-    rec_sub = nets.g_h(select_low(a, w))
+    z = nets.latent_input(nets.encode(Tensor(vol[None])), label)
+    rec_low, rec_sub = _generate_windowed(state, z, w)
     return T.add(l1_loss(rec_low, Tensor(low[None])),
                  l1_loss(rec_sub, Tensor(select_high(vol, w))))
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -263,6 +264,33 @@ class TestReconstructConditional:
         assert "c.hagv" in capsys.readouterr().err
 
 
+class TestTrainLabels:
+    """``train --data`` reads ``labels.tsv`` only for a conditional model, and
+    there a volume without a row is a usage error that names it."""
+
+    ARGS = ["train", "--seed", "3", "--steps", "1", "--resolution", "32",
+            "--latent-dim", "16", "--base-channels", "4"]
+
+    @pytest.fixture
+    def data(self, tmp_path):
+        data = tmp_path / "data"
+        assert main(["phantoms", "--n", "3", "--seed", "2", "--resolution", "32",
+                     "--out", str(data)]) == 0
+        rows = (data / "labels.tsv").read_text().splitlines()
+        (data / "labels.tsv").write_text("\n".join(rows[:-1]) + "\n")
+        return data
+
+    def test_unconditional_ignores_labels(self, data, tmp_path):
+        assert main(self.ARGS + ["--data", str(data), "--out", str(tmp_path / "run")]) == 0
+        assert (tmp_path / "run" / "checkpoint.bin").exists()
+
+    def test_conditional_volume_missing_from_labels_exit_1(self, data, tmp_path, capsys):
+        assert main(self.ARGS + ["--num-classes", "5", "--data", str(data),
+                                 "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert "phantom_0002.hagv" in err and "phantom_0001.hagv" not in err
+
+
 class TestCLIPipeline:
     """Miniature end-to-end pass through the main subcommands."""
 
@@ -285,19 +313,29 @@ class TestCLIPipeline:
         assert main(["generate", "--checkpoint", str(ck), "--n", "4",
                      "--seed", "9", "--out", str(gen)]) == 0
         assert len([n for n in os.listdir(gen) if n.endswith(".hagv")]) == 4
+        # the manifests echo the model's stored config beside the run config
+        stored = asdict(load_checkpoint(ck).cfg)
+        assert stored["full_resolution"] == 32 and stored["latent_dim"] == 16
+        manifest = json.loads((gen / "manifest.json").read_text())
+        assert manifest["checkpoint_config"] == stored
+        assert manifest["config"]["full_resolution"] == 64
 
         latents = tmp_path / "latents.tsv"
         assert main(["encode", "--checkpoint", str(ck), "--in", str(data),
                      "--out", str(latents)]) == 0
         rows = latents.read_text().strip().splitlines()
         assert len(rows) == 2 + 8               # header comment + colnames + 8
+        assert json.loads(rows[0][2:])["checkpoint_config"] == stored
 
         assert main(["reconstruct", "--checkpoint", str(ck), "--in", str(gen),
                      "--out", str(rec)]) == 0
         assert len([n for n in os.listdir(rec) if n.endswith(".hagv")]) == 4
+        assert json.loads((rec / "manifest.json").read_text())["checkpoint_config"] == stored
 
         assert main(["interpolate", "--checkpoint", str(ck), "--seed", "10",
                      "--n", "3", "--out", str(tmp_path / "interp")]) == 0
+        manifest = json.loads((tmp_path / "interp" / "manifest.json").read_text())
+        assert manifest["checkpoint_config"] == stored
 
         direction = tmp_path / "dir.json"
         assert main(["fit-direction", "--latents", str(latents),
@@ -324,3 +362,6 @@ class TestCLIPipeline:
                      "--n", "2", "--out", str(tmp_path / "sr_metrics.tsv")]) == 0
         text = (tmp_path / "sr_metrics.tsv").read_text()
         assert "baseline" in text and "sr" in text and "PSNR" in text
+        header = json.loads(text.splitlines()[0][2:])
+        assert header["checkpoint_config"]["hr_resolution"] == 32
+        assert header["config"]["full_resolution"] == 64

@@ -17,7 +17,7 @@ from conftest import (batch_norm_direct, conv3d_direct, elu_direct, finite_diffe
                       rel_err, resample_dense, upconv3d_direct, upconv3d_padded_fold)
 from slabgan import tensor as T
 from slabgan import optim
-from slabgan.layers import Conv3d, Interp
+from slabgan.layers import Conv3d, Dense, Interp
 from slabgan.optim import ParamStore, adam_step, optimize
 from slabgan.tensor import GraphError, ShapeError, Tensor
 
@@ -999,26 +999,34 @@ class TestBatchNorm:
             f"traced peak {peak / 2 ** 20:.2f} MiB"
 
 
+def _sn_calls(w: Tensor, u: np.ndarray, k: int) -> Tensor:
+    """``k`` training calls of ``spectral_norm``, which take ``u`` through
+    ``k`` power steps; returns the last call's output."""
+    for _ in range(k):
+        out = T.spectral_norm(w, u)
+    return out
+
+
 class TestSpectralNorm:
     def test_identity_unchanged(self):
         w = Tensor(np.eye(3))
         u = np.array([1.0, 0.0, 0.0])
-        out, _ = T.spectral_norm(w, u, power_iters=5)
+        out = _sn_calls(w, u, 5)
         assert np.allclose(out.data, np.eye(3), atol=1e-12)
 
     def test_diag_sigma(self):
         w = np.diag([3.0, 1.0])
         u = np.array([0.6, 0.8])
         u /= np.linalg.norm(u)
-        _, v, sigma = T.power_iterate(w, u, 20)
-        assert abs(sigma - 3.0) < 1e-6
+        out = _sn_calls(Tensor(w), u, 20)
+        assert np.allclose(out.data, w / 3, atol=1e-6)
 
     def test_random_matrix_normalized(self):
         rng = np.random.default_rng(7)
         w = rng.standard_normal((8, 8))
         u = rng.standard_normal(8)
         u /= np.linalg.norm(u)
-        out, _ = T.spectral_norm(Tensor(w), u, power_iters=5)
+        out = _sn_calls(Tensor(w), u, 5)
         top = np.linalg.svd(out.data, compute_uv=False)[0]
         assert abs(top - 1.0) < 0.05
 
@@ -1028,7 +1036,7 @@ class TestSpectralNorm:
             w = rng.standard_normal((n, n))
             u = rng.standard_normal(n)
             u /= np.linalg.norm(u)
-            out, _ = T.spectral_norm(Tensor(w), u, power_iters=30)
+            out = _sn_calls(Tensor(w), u, 30)
             top = np.linalg.svd(out.data, compute_uv=False)[0]
             assert 0.95 < top < 1.05
 
@@ -1036,8 +1044,56 @@ class TestSpectralNorm:
         w = Tensor(np.zeros((3, 3)))
         u = np.array([1.0, 0.0, 0.0])
         with pytest.warns(UserWarning, match="degenerate"):
-            out, _ = T.spectral_norm(w, u, power_iters=3)
+            out = T.spectral_norm(w, u)
         assert np.array_equal(out.data, np.zeros((3, 3)))
+        assert np.array_equal(u, [1.0, 0.0, 0.0])
+
+    def test_nan_weight_propagates(self):
+        """A NaN weight is not degenerate: its NaN reaches u and the output."""
+        u = np.array([1.0, 0.0])
+        out = T.spectral_norm(Tensor(np.array([[np.nan, 1.0], [0.0, 1.0]])), u)
+        assert np.isnan(u).all() and np.isnan(out.data).all()
+
+    @pytest.mark.parametrize("layer,x_shape", [
+        (Conv3d(2, 3, 3, 1, 1, spectral=True), (2, 3, 4, 4)),
+        (Dense(5, 4, spectral=True), (5,)),
+    ], ids=["conv3d", "dense"])
+    def test_taped_calls_keep_their_u(self, layer, x_shape):
+        """Two taped training calls, then one backward, as phase d runs a
+        discriminator on real and then fake input: the weight gradient is
+        the sum of the two calls' gradients, each taken alone from the u
+        that call started with. An eval call leaves u unchanged and returns
+        w / |u^T W v|."""
+        rng = np.random.default_rng(30)
+        layer.build(ParamStore(), rng, "sn", np.float64)
+        u0 = layer.u.copy()
+        xs = [Tensor(rng.standard_normal(x_shape)) for _ in range(2)]
+        probes = [Tensor(rng.standard_normal(layer.out_shape(x_shape))) for _ in range(2)]
+
+        def loss(k):
+            return T.tsum(T.mul(layer.forward(xs[k], training=True), probes[k]))
+
+        T.backward(T.add(loss(0), loss(1)))
+        together = layer.w.grad
+        layer.w.zero_grad()
+        layer.u[:] = u0
+        alone = []
+        for k in range(2):
+            T.backward(loss(k))
+            alone.append(layer.w.grad)
+            layer.w.zero_grad()
+        assert not np.allclose(alone[0], alone[1])
+        assert np.allclose(together, alone[0] + alone[1], rtol=1e-10, atol=1e-12)
+
+        u = layer.u.copy()
+        wmat = layer.w.data.reshape(len(u), -1)
+        v = wmat.T @ u / np.linalg.norm(wmat.T @ u)
+        out = T.spectral_norm(layer.w, layer.u, update=False)
+        assert np.array_equal(layer.u, u)
+        assert np.allclose(out.data, layer.w.data / abs(u @ wmat @ v), rtol=1e-12)
+        with T.no_grad():
+            layer.forward(xs[0], training=False)
+        assert np.array_equal(layer.u, u)
 
 
 class TestActivations:
@@ -1450,14 +1506,16 @@ class TestFiniteDifferencePrimitives:
         u0 /= np.linalg.norm(u0)
 
         def op_analytic():
+            # 49 untaped power steps, then one taped call
+            u = u0.copy()
+            _sn_calls(Tensor(w), u, 49)
             wt = Tensor(w.copy(), requires_grad=True)
-            out, _ = T.spectral_norm(wt, u0.copy(), power_iters=50)
-            T.backward(T.tsum(T.square(out)))
+            T.backward(T.tsum(T.square(T.spectral_norm(wt, u))))
             return wt.grad
         ana = op_analytic()
 
         def f(x):
-            out, _ = T.spectral_norm(Tensor(x), u0.copy(), power_iters=50)
+            out = _sn_calls(Tensor(x), u0.copy(), 50)
             return float(T.tsum(T.square(out)).data)
         num = finite_difference(f, w)
         assert rel_err(ana, num) < 1e-4
