@@ -113,7 +113,7 @@ def _volume_classes(path, names) -> list:
     return [int(table[n]["class"]) for n in names]
 
 
-def _model_config(state) -> dict:
+def _checkpoint_config(state) -> dict:
     """The loaded checkpoint's stored config, echoed beside the run config."""
     return {"checkpoint_config": asdict(state.cfg)}
 
@@ -210,7 +210,7 @@ def cmd_generate(args) -> int:
         vol = generate_full(state.nets, z, c=_class_index(args, mc, rng))
         volume_write(os.path.join(out, f"gen_{i:04d}.hagv"), vol)
     write_manifest(out, cfg, {"n_volumes": args.n, "checkpoint": args.checkpoint,
-                              **_model_config(state)})
+                              **_checkpoint_config(state)})
     print(f"wrote {args.n} volumes to {out}")
     return 0
 
@@ -223,7 +223,7 @@ def cmd_encode(args) -> int:
     names, vols = _load_volume_dir(args.input)
     out_path = args.out or "latents.tsv"
     with open(out_path, "w") as f:
-        f.write("# " + artifact_header(cfg, _model_config(state)) + "\n")
+        f.write("# " + artifact_header(cfg, _checkpoint_config(state)) + "\n")
         f.write("name\t" + "\t".join(f"z{i}" for i in range(state.cfg.latent_dim)) + "\n")
         for name, vol in zip(names, vols):
             code = encode_full(state.nets, vol)
@@ -246,7 +246,7 @@ def cmd_reconstruct(args) -> int:
         rec = reconstruct(state.nets, vol, c=c)
         volume_write(os.path.join(out, name.replace(".hagv", "_rec.hagv")), rec)
     write_manifest(out, cfg, {"n_volumes": len(names), "source": args.input,
-                              **_model_config(state)})
+                              **_checkpoint_config(state)})
     print(f"reconstructed {len(names)} volumes into {out}")
     return 0
 
@@ -264,7 +264,7 @@ def cmd_interpolate(args) -> int:
     vols = interpolate(state.nets, z_a, z_b, args.n, c=_class_index(args, mc, rng))
     for i, v in enumerate(vols):
         volume_write(os.path.join(out, f"interp_{i:02d}.hagv"), v)
-    write_manifest(out, cfg, {"n_volumes": len(vols), **_model_config(state)})
+    write_manifest(out, cfg, {"n_volumes": len(vols), **_checkpoint_config(state)})
     print(f"wrote {len(vols)} interpolation volumes to {out}")
     return 0
 
@@ -394,7 +394,7 @@ def cmd_sr_eval(args) -> int:
     for name in ("baseline", "sr"):
         a = np.mean(stats[name], axis=0)
         rows.append(f"{name}\t{a[0]:.4f}\t{a[1]:.4f}\t{a[2]:.2f}")
-    text = "# " + artifact_header(cfg, _model_config(state)) + "\n" + "\n".join(rows)
+    text = "# " + artifact_header(cfg, _checkpoint_config(state)) + "\n" + "\n".join(rows)
     if args.out:
         with open(args.out, "w") as f:
             f.write(text + "\n")
@@ -420,7 +420,7 @@ def cmd_augment_study(args) -> int:
                            vols[n_train:], labels[n_train:],
                            seed=args.seed,
                            classifier_steps=args.classifier_steps)
-    text = "# " + artifact_header(cfg, _model_config(state)) + "\n" + study_table(result)
+    text = "# " + artifact_header(cfg, _checkpoint_config(state)) + "\n" + study_table(result)
     if args.out:
         with open(args.out, "w") as f:
             f.write(text + "\n")

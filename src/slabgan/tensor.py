@@ -59,11 +59,9 @@ flipped kernel); the chunk plan is memoised on its shapes and on
 ``CONV_WORKSPACE_BYTES``. None of this changes an operand or the order of
 any sum, so the outputs keep their bits.
 
-``spectral_norm`` makes one estimate, for training and eval calls alike,
-and a training call moves the persisted ``u`` one power step. An untaped
-call builds nothing for a backward; a taped one keeps its own copy of
-``u`` and its ``v`` (two vectors, not a weight-sized array) and forms their
-outer product in backward.
+``spectral_norm`` makes one estimate for training and eval calls. An
+untaped call builds nothing for a backward; a taped one keeps two vectors
+(its own copy of ``u``, and ``v``), not a weight-sized array.
 """
 
 from __future__ import annotations
@@ -1545,17 +1543,14 @@ def spectral_norm(w: Tensor, u: np.ndarray, update: bool = True) -> Tensor:
     """Divide a weight by its estimated top singular value.
 
     The weight is viewed as a matrix W (first axis = output channels, rest
-    flattened), and ``u`` is the persisted left singular vector estimate.
-    One estimate serves training and eval calls: v = W^T u / |W^T u|; a
-    training call (``update``) then moves ``u`` one power step, in place,
-    to W v / |W v|; sigma = |u^T W v| with the ``u`` the call ends with.
-    k training calls take ``u`` through k power steps. A zero weight is
-    returned unchanged with a warning (a NaN weight is not degenerate: its
-    NaN reaches ``u`` and the output).
+    flattened); ``u`` is the persisted left singular vector estimate. Every
+    call takes v = W^T u / |W^T u|; a training call (``update``) then moves
+    ``u`` one power step in place, to W v / |W v|. sigma = |u^T W v|. A zero
+    weight is returned unchanged with a warning; a NaN one is not degenerate.
 
     Gradient treats u, v as constants: d(W/sigma) with sigma = u^T W v. A
-    taped call keeps its own copy of ``u``, since a later call may update
-    the persisted one before this backward runs.
+    taped call keeps its own copy of ``u``: a later call may update the
+    persisted one before this backward runs.
     """
     wmat = w.data.reshape(w.data.shape[0], -1)
     wv = wmat.T @ u

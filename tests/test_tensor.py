@@ -1077,12 +1077,13 @@ class TestSpectralNorm:
         together = layer.w.grad
         layer.w.zero_grad()
         layer.u[:] = u0
-        alone = []
+        alone, starts = [], []
         for k in range(2):
+            starts.append(layer.u.copy())
             T.backward(loss(k))
             alone.append(layer.w.grad)
             layer.w.zero_grad()
-        assert not np.allclose(alone[0], alone[1])
+        assert not np.allclose(starts[0], starts[1])
         assert np.allclose(together, alone[0] + alone[1], rtol=1e-10, atol=1e-12)
 
         u = layer.u.copy()

@@ -44,7 +44,8 @@ def digest(arrays) -> str:
 
 
 def train_lines(res: int):
-    """Three train steps at desk ``res``^3; returns the trained state."""
+    """Three train steps at desk ``res``^3; returns the trained state and
+    its phantoms."""
     state = init_train_state(desk_config(full_resolution=res), seed=0)
     vols, _, _ = phantom_dataset(4, extents=(res,) * 3, base_seed=100)
     for k in range(3):
