@@ -4,6 +4,7 @@ Every stochastic subcommand requires --seed. Exit codes: 0 success,
 1 usage error, 2 runtime failure. Run directories get a manifest echoing
 the resolved configuration and the build fingerprint; a command that loads
 a checkpoint adds the model's stored config as ``checkpoint_config``.
+Volume (``.hagv``) and checkpoint files share ``volio``'s file container.
 """
 
 from __future__ import annotations
@@ -101,16 +102,26 @@ def _read_labels(path):
     return table
 
 
-def _volume_classes(path, names) -> list:
-    """Each volume's class, from ``labels.tsv`` in directory ``path``; a
-    missing file or a volume without a row is a UsageError naming them."""
-    lab_path = os.path.join(path, "labels.tsv")
-    table = _read_labels(lab_path) if os.path.exists(lab_path) else {}
-    missing = [n for n in names if n not in table]
+def _label_column(path, names, column) -> list:
+    """``column`` of the labels file ``path`` for each of ``names``; a missing
+    file, row or column is a UsageError naming them."""
+    table = _read_labels(path) if os.path.exists(path) else {}
+    missing = [n for n in names if column not in table.get(n, {})]
     if missing:
-        raise UsageError(f"class-conditional model: no class for {missing[:5]} "
-                         f"in {lab_path}")
-    return [int(table[n]["class"]) for n in names]
+        raise UsageError(f"no '{column}' for {missing[:5]} in {path}")
+    return [table[n][column] for n in names]
+
+
+def _volume_classes(path, names) -> list:
+    """Each volume's class, from ``labels.tsv`` in directory ``path``."""
+    return [int(c) for c in _label_column(os.path.join(path, "labels.tsv"), names, "class")]
+
+
+def _check_classes(labels, num_classes: int) -> None:
+    """Set-up check that every label is a class of a ``num_classes`` model."""
+    bad = sorted({int(y) for y in labels if not 0 <= y < num_classes})
+    if bad:
+        raise UsageError(f"labels hold class {bad[:5]}; the model has {num_classes} classes")
 
 
 def _checkpoint_config(state) -> dict:
@@ -147,12 +158,15 @@ def cmd_phantoms(args) -> int:
 def _training_data(cfg: RunConfig, args):
     if getattr(args, "data", None):
         names, vols = _load_volume_dir(args.data)
+        vols = np.stack(vols)
         labels = np.array(_volume_classes(args.data, names)) if cfg.num_classes else None
-        return np.stack(vols), labels
-    from .phantoms import phantom_dataset
-    vols, labels, _ = phantom_dataset(cfg.n_phantoms,
-                                      extents=(cfg.full_resolution,) * 3,
-                                      base_seed=cfg.phantom_seed)
+    else:
+        from .phantoms import phantom_dataset
+        vols, labels, _ = phantom_dataset(cfg.n_phantoms,
+                                          extents=(cfg.full_resolution,) * 3,
+                                          base_seed=cfg.phantom_seed)
+    if cfg.num_classes:
+        _check_classes(labels, cfg.num_classes)
     return vols, labels
 
 
@@ -279,8 +293,7 @@ def cmd_fit_direction(args) -> int:
             parts = line.rstrip("\n").split("\t")
             names.append(parts[0])
             latents.append([float(v) for v in parts[1:]])
-    table = _read_labels(args.targets)
-    y = np.array([float(table[n][args.target_column]) for n in names])
+    y = np.array([float(v) for v in _label_column(args.targets, names, args.target_column)])
     x = np.asarray(latents)
     direction = fit_direction(x, y, target_name=args.target_column,
                               ridge_lambda=args.ridge)
@@ -415,6 +428,7 @@ def cmd_augment_study(args) -> int:
     vols, labels, _ = phantom_dataset(n_train + n_test,
                                       extents=(state.cfg.full_resolution,) * 3,
                                       base_seed=cfg.phantom_seed)
+    _check_classes(labels, state.cfg.num_classes)
     result = augment_study(state.cfg, state.nets,
                            vols[:n_train], labels[:n_train],
                            vols[n_train:], labels[n_train:],

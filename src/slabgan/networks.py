@@ -302,20 +302,14 @@ def _dh_depth_schedule(cfg: NetConfig):
 
     Using the canonical depth (full/8) rather than the configured
     multiplier keeps d_h's parameters independent of the window size;
-    larger windows simply leave surplus depth for the mean-pool.
+    larger windows simply leave surplus depth for the mean-pool. Either
+    stage halves the depth, so it is at least 2 until the last stage.
     """
     d = cfg.full_resolution // 8
     plan = []
-    n_stages = int(np.log2(cfg.full_resolution // 8))
-    for _ in range(n_stages):
-        if d >= 8:
-            plan.append((4, 2, 1))      # kernel, stride, pad along depth
-        elif d >= 2:
-            plan.append((2, 2, 0))
-        else:
-            plan.append((1, 1, 0))
-        kd, sd, pd = plan[-1]
-        d = (d + 2 * pd - kd) // sd + 1
+    for _ in range(int(np.log2(d))):
+        plan.append((4, 2, 1) if d >= 8 else (2, 2, 0))   # kernel, stride, pad along depth
+        d //= 2
     return plan
 
 

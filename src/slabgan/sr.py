@@ -27,6 +27,7 @@ from .optim import ParamStore
 from .tensor import Tensor, no_grad
 from .training import (_encode_rng, batch_update, gan_d_loss, gan_g_loss, read_checkpoint,
                        restore_store, step_guard, stored_config, write_store_checkpoint)
+from .volio import parsing
 
 # interior agreement margin between slab and full-volume SR, in input
 # (low-resolution) slices
@@ -135,12 +136,10 @@ class SRGenerator:
             ("conv", UpConv3d(c, 1, zero_init=True)),
         ], in_shape=(c,) + self.head.out_shape()[1:])
         self.up_res = Interp(2.0)
-        self.built = False
 
     def build(self, store: ParamStore, rng: np.random.Generator, dtype=np.float32):
         for net in (self.head, self.enc, self.dec, self.residual_head):
             net.build(store, rng, dtype)
-        self.built = True
         return self
 
     def n_params(self) -> int:
@@ -323,9 +322,11 @@ def sr_save(state: SRState, path) -> None:
 
 
 def sr_load(path) -> SRState:
-    header, body = read_checkpoint(path, "sr")
-    state = build_sr(stored_config(SRConfig, header["config"], {"sr_factor": 2}), seed=0)
-    restore_store(state.store, header, body)
-    state.step = header["step"]
-    state.rng.bit_generator.state = header["rng_state"]
+    """Restore an SRState; any malformed file raises CheckpointError."""
+    header, entries = read_checkpoint(path, "sr")
+    with parsing(path):
+        state = build_sr(stored_config(SRConfig, header["config"], {"sr_factor": 2}), seed=0)
+        restore_store(state.store, header, entries)
+        state.step = header["step"]
+        state.rng.bit_generator.state = header["rng_state"]
     return state

@@ -28,9 +28,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import os
-import struct
-import zlib
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -41,6 +38,7 @@ from .geometry import (SliceWindow, check_volume, deterministic_windows, sample_
 from .networks import ModelSet, NetConfig, build_model_set
 from .optim import optimize
 from .tensor import Tensor, backward, no_grad
+from .volio import FormatError, parsing, read_container, write_container
 
 
 class TrainingDiverged(RuntimeError):
@@ -359,120 +357,53 @@ def format_report(report: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# checkpointing
+# checkpointing: ``volio``'s file container, of kind "hagan" (here) or "sr"
 
-_MAGIC = b"SGCK"
-_VERSION = 2
-_DTYPES = {"<f4": 0, "<f8": 1, "<i8": 2}
-_DTYPES_REV = {v: k for k, v in _DTYPES.items()}
-
-
-class CheckpointError(RuntimeError):
-    pass
-
-
-def _pack_entry(out: list, name: str, arr: np.ndarray) -> None:
-    arr = np.ascontiguousarray(arr)
-    code = _DTYPES[arr.dtype.newbyteorder("<").str]
-    nb = name.encode()
-    out.append(struct.pack("<H", len(nb)))
-    out.append(nb)
-    out.append(struct.pack("<BB", code, arr.ndim))
-    out.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-    out.append(arr.astype(arr.dtype.newbyteorder("<")).tobytes())
+CheckpointError = FormatError
 
 
 def write_store_checkpoint(path, store, header: dict) -> None:
-    """Serialize a ParamStore (params, buffers, Adam state) plus a JSON header.
-
-    The file is written to ``path + ".tmp"``, synced, then renamed over
-    ``path``: a write that fails part-way leaves the previous file intact.
-    """
-    header = dict(header)
-    header["adam_t"] = {k: v[2] for k, v in store.adam_state.items()}
-    hb = json.dumps(header, sort_keys=True).encode()
-    body: list[bytes] = [struct.pack("<H", _VERSION), struct.pack("<I", len(hb)), hb]
-    for name, p in store.params.items():
-        _pack_entry(body, f"param:{name}", p.data)
-    for name, b in store.buffers.items():
-        _pack_entry(body, f"buffer:{name}", b)
-    for name, (m, v, _) in store.adam_state.items():
-        _pack_entry(body, f"adam_m:{name}", m)
-        _pack_entry(body, f"adam_v:{name}", v)
-    blob = b"".join(body)
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as f:
-        f.write(_MAGIC)
-        f.write(blob)
-        f.write(struct.pack("<I", zlib.crc32(blob)))
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
+    """Serialize a ParamStore (params, buffers, Adam state) plus a JSON
+    header into one ``volio`` container; a write that fails part-way
+    leaves the previous file intact."""
+    header = dict(header, adam_t={k: v[2] for k, v in store.adam_state.items()})
+    entries = [(f"param:{n}", p.data) for n, p in store.params.items()]
+    entries += [(f"buffer:{n}", b) for n, b in store.buffers.items()]
+    for n, (m, v, _) in store.adam_state.items():
+        entries += [(f"adam_m:{n}", m), (f"adam_v:{n}", v)]
+    write_container(path, header, entries)
 
 
-def read_checkpoint(path, kind: str) -> tuple[dict, bytes]:
-    """Read and verify a checkpoint file; returns (header, entry bytes).
-
-    Checks, in this order: the magic, the CRC of everything after it, the
-    format version; only then is the JSON header parsed and its "kind"
-    ("hagan" or "sr") compared with ``kind``. Any failure raises
-    CheckpointError. ``restore_store`` loads the entries.
-    """
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != _MAGIC:
-        raise CheckpointError("bad magic: not a checkpoint file")
-    blob = raw[4:-4]
-    if len(raw) < 14 or zlib.crc32(blob) != struct.unpack("<I", raw[-4:])[0]:
-        raise CheckpointError("checksum mismatch: checkpoint corrupt or truncated")
-    version, hlen = struct.unpack_from("<HI", blob, 0)
-    if version != _VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    header = json.loads(blob[6:6 + hlen].decode())
-    if header.get("kind") != kind:
-        raise CheckpointError(f"checkpoint kind {header.get('kind')!r}, expected {kind!r}")
-    return header, blob[6 + hlen:]
+def read_checkpoint(path, kind: str) -> tuple[dict, dict]:
+    """(header, entries) of a verified checkpoint of ``kind`` ("hagan" or "sr");
+    ``volio.read_container`` lists the checks."""
+    return read_container(path, kind)
 
 
-def restore_store(store, header: dict, body: bytes) -> None:
+def restore_store(store, header: dict, entries: dict) -> None:
     """Load the entries of a verified checkpoint into a ParamStore.
 
     Every stored name must exist in the store with the stored shape, and
-    every parameter of the store must be present.
+    every parameter of the store must be present. Callers run it inside
+    ``volio.parsing``, which turns a missing header key into CheckpointError.
     """
     adam_t = header["adam_t"]
-    seen = set()
-    for name, arr in _read_entries(body):
+    for name, arr in entries.items():
         kind, key = name.split(":", 1)
-        if kind == "param":
-            if key not in store.params:
-                raise CheckpointError(f"unknown parameter '{key}' in checkpoint")
-            p = store.params[key]
-            if p.data.shape != arr.shape:
-                raise CheckpointError(
-                    f"shape mismatch for '{key}': model {p.data.shape}, file {arr.shape}")
-            p.data[...] = arr.astype(p.data.dtype)
-        elif kind == "buffer":
-            if key not in store.buffers:
-                raise CheckpointError(f"unknown buffer '{key}' in checkpoint")
-            b = store.buffers[key]
-            if b.shape != arr.shape:
-                raise CheckpointError(f"buffer shape mismatch for '{key}'")
-            b[...] = arr.astype(b.dtype)
-        elif kind in ("adam_m", "adam_v"):
-            st = store.adam_state.get(key)
-            if st is None:
-                m = np.zeros_like(store.params[key].data)
-                v = np.zeros_like(store.params[key].data)
-                st = [m, v, int(adam_t[key])]
-                store.adam_state[key] = st
-            if kind == "adam_m":
-                st[0][...] = arr.astype(st[0].dtype)
-            else:
-                st[1][...] = arr.astype(st[1].dtype)
+        table = store.buffers if kind == "buffer" else store.params
+        if kind not in ("param", "buffer", "adam_m", "adam_v") or key not in table:
+            raise CheckpointError(f"unknown entry '{name}' in checkpoint")
+        target = table[key] if kind == "buffer" else table[key].data
+        if target.shape != arr.shape:
+            raise CheckpointError(
+                f"shape mismatch for '{name}': model {target.shape}, file {arr.shape}")
+        if kind in ("adam_m", "adam_v"):
+            st = store.adam_state.setdefault(
+                key, [np.zeros_like(target), np.zeros_like(target), 0])
             st[2] = int(adam_t[key])
-        seen.add(name)
-    missing = {f"param:{k}" for k in store.params} - seen
+            target = st[0] if kind == "adam_m" else st[1]
+        target[...] = arr.astype(target.dtype)
+    missing = {f"param:{k}" for k in store.params} - entries.keys()
     if missing:
         raise CheckpointError(f"checkpoint missing parameters: {sorted(missing)[:5]}")
 
@@ -500,24 +431,6 @@ def _encode_rng(rng: np.random.Generator) -> dict:
     return json.loads(json.dumps(st))
 
 
-def _read_entries(buf: bytes):
-    off = 0
-    while off < len(buf):
-        (nlen,) = struct.unpack_from("<H", buf, off)
-        off += 2
-        name = buf[off:off + nlen].decode()
-        off += nlen
-        code, ndim = struct.unpack_from("<BB", buf, off)
-        off += 2
-        shape = struct.unpack_from(f"<{ndim}I", buf, off)
-        off += 4 * ndim
-        dt = np.dtype(_DTYPES_REV[code])
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dt.itemsize
-        arr = np.frombuffer(buf[off:off + nbytes], dtype=dt).reshape(shape).copy()
-        off += nbytes
-        yield name, arr
-
-
 def stored_config(cls, config: dict, retired: dict):
     """A ``cls`` config from a checkpoint header's ``config`` dict.
 
@@ -542,18 +455,21 @@ def load_checkpoint(path, state: TrainState | None = None) -> TrainState:
 
     With an existing ``state``, its networks must match the stored shapes
     (loading across configurations is an explicit error). Without one, a
-    fresh state is built from the stored config.
+    fresh state is built from the stored config. A header that lacks a
+    key, or holds a value that does not fit, raises CheckpointError.
     """
-    header, body = read_checkpoint(path, "hagan")
-    if state is None:
-        cfg = stored_config(NetConfig, header["config"], {"feature_channels": None}).validate()
-        state = init_train_state(cfg, seed=0, weights=LossWeights(**header["weights"]))
-        state.lr_g, state.lr_d, state.lr_e = header["lr"]
-        state.batch_size = header["batch_size"]
-        state.saturating = header["saturating"]
-        state.deterministic_r = header["deterministic_r"]
-        state.clip_norm = header.get("clip_norm")   # absent in older files
-    restore_store(state.store, header, body)
-    state.step = header["step"]
-    state.rng.bit_generator.state = header["rng_state"]
+    header, entries = read_checkpoint(path, "hagan")
+    with parsing(path):
+        if state is None:
+            cfg = stored_config(NetConfig, header["config"],
+                                {"feature_channels": None}).validate()
+            state = init_train_state(cfg, seed=0, weights=LossWeights(**header["weights"]))
+            state.lr_g, state.lr_d, state.lr_e = header["lr"]
+            state.batch_size = header["batch_size"]
+            state.saturating = header["saturating"]
+            state.deterministic_r = header["deterministic_r"]
+            state.clip_norm = header.get("clip_norm")   # absent in older files
+        restore_store(state.store, header, entries)
+        state.step = header["step"]
+        state.rng.bit_generator.state = header["rng_state"]
     return state

@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,47 @@ def _clean_tape():
     T.active_tape().enabled = True
     yield
     T.active_tape().clear()
+
+
+class HalfWrite:
+    """A file that fails half-way through its second write. Patched over
+    ``open`` in ``slabgan.volio``, it models a crash during a file write."""
+
+    def __init__(self, name, mode):
+        self.f, self.writes = open(name, mode), 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, b):
+        self.writes += 1
+        if self.writes == 2:
+            self.f.write(b[:len(b) // 2])
+            raise OSError("disk full")
+        return self.f.write(b)
+
+
+def container_parts(raw: bytes):
+    """Split the bytes of a ``volio`` container file into its JSON header
+    bytes and its entry bytes, by hand."""
+    (hlen,) = struct.unpack_from("<I", raw, 6)
+    return raw[10:10 + hlen], raw[10 + hlen:-4]
+
+
+def pack_container(header: bytes, entries: bytes) -> bytes:
+    """A ``volio`` container file packed by hand, with a valid CRC."""
+    body = struct.pack("<HI", 2, len(header)) + header + entries
+    return b"SGCK" + body + struct.pack("<I", zlib.crc32(body))
+
+
+def pack_entry(name: str, code: int, shape, payload: bytes) -> bytes:
+    """One container entry packed by hand: name, dtype code, extents, payload."""
+    nb = name.encode()
+    return (struct.pack("<H", len(nb)) + nb
+            + struct.pack(f"<BB{len(shape)}I", code, len(shape), *shape) + payload)
 
 
 def finite_difference(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

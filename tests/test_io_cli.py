@@ -9,6 +9,8 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from conftest import HalfWrite, pack_container, pack_entry
+from slabgan import volio
 from slabgan.cli import main
 from slabgan.config import (ConfigError, RunConfig, build_fingerprint,
                             load_run_config, parse_config_file)
@@ -46,15 +48,31 @@ class TestVolumeFormat:
             volume_read(path)
 
     def test_extent_payload_mismatch(self, tmp_path):
-        import struct
-        import zlib
         path = tmp_path / "v.hagv"
-        header = b"HAGV" + struct.pack("<H3IB", 1, 4, 4, 4, 0)
-        payload = b"\x00" * (4 * 4 * 3 * 4)      # one slice short
-        blob = header + payload
-        path.write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))
+        header = b'{"kind": "volume"}'
+        path.write_bytes(pack_container(header, pack_entry("volume", 0, (4, 4, 4), bytes(256))))
+        assert np.array_equal(volume_read(path), np.zeros((4, 4, 4), np.float32))
+        short = bytes(4 * 4 * 3 * 4)             # one slice short
+        path.write_bytes(pack_container(header, pack_entry("volume", 0, (4, 4, 4), short)))
         with pytest.raises(VolumeFormatError, match="extents"):
             volume_read(path)
+
+    def test_unknown_dtype_code(self, tmp_path):
+        path = tmp_path / "v.hagv"
+        path.write_bytes(pack_container(b'{"kind": "volume"}',
+                                        pack_entry("volume", 9, (4, 4, 4), bytes(256))))
+        with pytest.raises(VolumeFormatError, match="dtype"):
+            volume_read(path)
+
+    def test_failed_write_keeps_previous(self, tmp_path, monkeypatch):
+        path = tmp_path / "v.hagv"
+        vol = np.random.default_rng(1).uniform(-1, 1, (4, 5, 6)).astype(np.float32)
+        volume_write(path, vol)
+        monkeypatch.setattr(volio, "open", HalfWrite, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            volume_write(path, vol + 1)
+        monkeypatch.undo()
+        assert np.array_equal(volume_read(path), vol)
 
 
 class TestRunConfig:
@@ -289,6 +307,73 @@ class TestTrainLabels:
                                  "--out", str(tmp_path / "run")]) == 1
         err = capsys.readouterr().err
         assert "phantom_0002.hagv" in err and "phantom_0001.hagv" not in err
+
+
+class TestFitDirection:
+    """``fit-direction`` with a name that ``--targets`` has no row for, or a
+    column it lacks, is a usage error that names them."""
+
+    @pytest.fixture
+    def latents(self, tmp_path):
+        data, run = tmp_path / "data", tmp_path / "run"
+        args = ["--resolution", "32", "--latent-dim", "16", "--base-channels", "4"]
+        assert main(["phantoms", "--n", "3", "--seed", "2", "--out", str(data)] + args) == 0
+        assert main(["train", "--seed", "3", "--steps", "1", "--data", str(data),
+                     "--out", str(run)] + args) == 0
+        latents = tmp_path / "latents.tsv"
+        assert main(["encode", "--checkpoint", str(run / "checkpoint.bin"),
+                     "--in", str(data), "--out", str(latents)]) == 0
+        return latents, data / "labels.tsv"
+
+    def fit(self, latents, targets, column):
+        return main(["fit-direction", "--latents", str(latents), "--targets", str(targets),
+                     "--target-column", column, "--ridge", "1.0",
+                     "--out", str(latents.parent / "d.json")])
+
+    def test_name_missing_from_targets_exit_1(self, latents, capsys):
+        latents, labels = latents
+        rows = labels.read_text().splitlines()
+        labels.write_text("\n".join(rows[:-1]) + "\n")
+        assert self.fit(latents, labels, "organ") == 1
+        err = capsys.readouterr().err
+        assert "phantom_0002.hagv" in err and "phantom_0001.hagv" not in err
+
+    def test_unknown_column_exit_1(self, latents, capsys):
+        latents, labels = latents
+        assert self.fit(latents, labels, "nope") == 1
+        assert "nope" in capsys.readouterr().err
+        assert self.fit(latents, labels, "organ") == 0
+
+
+class TestNumClasses:
+    """A label that is not a class of the model is a usage error at set-up,
+    before any step, naming the class."""
+
+    ARGS = ["--seed", "3", "--resolution", "32", "--latent-dim", "16",
+            "--base-channels", "4", "--num-classes", "3", "--batch-size", "5"]
+
+    def test_phantom_labels(self, tmp_path, capsys):
+        assert main(["train", "--n-phantoms", "5", "--steps", "2",
+                     "--out", str(tmp_path / "run")] + self.ARGS) == 1
+        assert "[3, 4]" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "run.log").exists()
+
+    def test_labels_file(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["phantoms", "--n", "5", "--seed", "2", "--resolution", "32",
+                     "--out", str(data)]) == 0
+        assert main(["train", "--steps", "2", "--data", str(data),
+                     "--out", str(tmp_path / "run")] + self.ARGS) == 1
+        assert "[3, 4]" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "run.log").exists()
+
+    def test_augment_study(self, tmp_path, capsys):
+        cfg = desk_config(full_resolution=32, latent_dim=16, base_channels=4, num_classes=3)
+        ck = tmp_path / "ck.bin"
+        save_checkpoint(init_train_state(cfg, seed=1), ck)
+        assert main(["augment-study", "--checkpoint", str(ck), "--seed", "1",
+                     "--n-train", "5", "--n-test", "1", "--classifier-steps", "1"]) == 1
+        assert "[3, 4]" in capsys.readouterr().err
 
 
 class TestCLIPipeline:

@@ -1,13 +1,17 @@
 """Loss values, gradient checks of the composed objectives, update
 isolation, the alternating step, checkpoints."""
 
-import numpy as np
-import pytest
+import json
+import struct
 from dataclasses import replace
 
-from conftest import finite_difference, rel_err
+import numpy as np
+import pytest
+
+from conftest import (HalfWrite, container_parts, finite_difference, pack_container,
+                      pack_entry, rel_err)
 from slabgan import tensor as T
-from slabgan import training
+from slabgan import training, volio
 from slabgan.geometry import SliceWindow
 from slabgan.networks import build_model_set, desk_config
 from slabgan.optim import ParamStore, adam_step
@@ -553,26 +557,7 @@ class TestCheckpoint:
         save_checkpoint(state, path)
         saved = state.store.parameter_hash()
         train_step(state, vols)
-
-        class HalfWrite:
-            """A file that fails half-way through its second write."""
-            def __init__(self, name, mode):
-                self.f, self.writes = open(name, mode), 0
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.f.close()
-
-            def write(self, b):
-                self.writes += 1
-                if self.writes == 2:
-                    self.f.write(b[:len(b) // 2])
-                    raise OSError("disk full")
-                return self.f.write(b)
-
-        monkeypatch.setattr(training, "open", HalfWrite, raising=False)
+        monkeypatch.setattr(volio, "open", HalfWrite, raising=False)
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(state, path)
         monkeypatch.undo()
@@ -586,3 +571,58 @@ class TestCheckpoint:
             desk_config(full_resolution=32, latent_dim=16, base_channels=8), seed=0)
         with pytest.raises(CheckpointError, match="shape mismatch"):
             load_checkpoint(path, other)
+
+
+def _without(key):
+    def edit(header, entries):
+        h = json.loads(header)
+        del h[key]
+        return json.dumps(h).encode(), entries
+    return edit
+
+
+def _dtype_code(code):
+    def edit(header, entries):
+        e = bytearray(entries)
+        (nlen,) = struct.unpack_from("<H", e)
+        e[2 + nlen] = code                   # the first entry's dtype code
+        return header, bytes(e)
+    return edit
+
+
+# edits of a checkpoint's header and entry bytes that keep the CRC valid
+MALFORMED = {
+    "unknown dtype code": _dtype_code(9),
+    "entry shorter than its extents": lambda h, e: (h, e[:-4]),
+    "header not JSON": lambda h, e: (b"{not json", e),
+    "header without adam_t": _without("adam_t"),
+    "adam moment of an unknown parameter":
+        lambda h, e: (h, e + pack_entry("adam_m:nope", 0, (1,), bytes(4))),
+    "header without step": _without("step"),
+}
+
+
+class TestMalformedCheckpoint:
+    """A CRC-valid file whose contents do not parse is a CheckpointError,
+    through both loaders, not a KeyError or ValueError from inside them."""
+
+    @pytest.fixture(params=["hagan", "sr"])
+    def saved(self, request, tmp_path):
+        from slabgan.sr import SRConfig, build_sr, sr_load, sr_save
+        path = tmp_path / "ck.bin"
+        if request.param == "hagan":
+            save_checkpoint(tiny_state(40), path)
+            return path, load_checkpoint
+        sr_save(build_sr(SRConfig(hr_resolution=32, subvol_len=4).validate(), seed=40), path)
+        return path, sr_load
+
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_malformed(self, saved, case):
+        path, load = saved
+        header, entries = container_parts(path.read_bytes())
+        path.write_bytes(pack_container(header, entries))      # repacked unchanged: loads
+        load(path)
+        path.write_bytes(pack_container(*MALFORMED[case](header, entries)))
+        with pytest.raises(CheckpointError) as err:
+            load(path)
+        assert "checksum" not in str(err.value)

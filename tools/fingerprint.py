@@ -12,7 +12,11 @@ lines compute the same bits for:
 * eval-mode ``d_l`` and ``d_h`` logits of the trained 64^3 model;
 * two SR train steps and their parameter hash;
 * ``generate_full``, ``encode_full``, ``extract_one`` and ``sr_infer`` at
-  desk 64^3 and 128^3, with the SR residual head's weights drawn non-zero.
+  desk 64^3 and 128^3, with the SR residual head's weights drawn non-zero;
+* the bytes on disk of a ``save_checkpoint`` file of the trained 64^3
+  model, of an ``sr_save`` file after the two SR steps and of a
+  ``volume_write`` file of the 64^3 ``generate_full`` output, each written
+  to a temporary directory.
 
 The script takes no options and uses only long-standing public functions,
 so it runs against older source trees too. The bits can depend on the
@@ -22,6 +26,8 @@ BLAS thread count (``OPENBLAS_NUM_THREADS``); compare runs at the same one.
 from __future__ import annotations
 
 import hashlib
+import os
+import tempfile
 
 import numpy as np
 
@@ -30,10 +36,12 @@ from slabgan.inference import encode_full, generate_full
 from slabgan.metrics import FixedExtractor
 from slabgan.networks import build_model_set, desk_config
 from slabgan.phantoms import phantom_dataset
-from slabgan.sr import SRConfig, build_sr, degrade, format_sr_report, sr_infer, sr_train
+from slabgan.sr import (SRConfig, build_sr, degrade, format_sr_report, sr_infer, sr_save,
+                        sr_train)
 from slabgan.tensor import Tensor, no_grad
 from slabgan.training import (downsample_volume, format_report, init_train_state,
-                              train_step)
+                              save_checkpoint, train_step)
+from slabgan.volio import volume_write
 
 
 def digest(arrays) -> str:
@@ -41,6 +49,15 @@ def digest(arrays) -> str:
     for a in arrays:
         h.update(np.ascontiguousarray(a).tobytes())
     return h.hexdigest()
+
+
+def file_digest(write) -> str:
+    """sha256 of the bytes ``write(path)`` leaves in a temporary file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "file")
+        write(path)
+        with open(path, "rb") as f:
+            return hashlib.sha256(f.read()).hexdigest()
 
 
 def train_lines(res: int):
@@ -77,6 +94,7 @@ def sr_lines() -> None:
     for k, rep in enumerate(sr_train(state, list(vols), 2)):
         print(f"sr step {k}: {format_sr_report(rep)}")
     print(f"sr parameter_hash: {state.store.parameter_hash()}")
+    print(f"sr_save file: {file_digest(lambda path: sr_save(state, path))}")
 
 
 def inference_lines(res: int) -> None:
@@ -85,6 +103,8 @@ def inference_lines(res: int) -> None:
     vol = phantom_dataset(1, extents=(res,) * 3, base_seed=300)[0][0]
     gen = generate_full(nets, rng.standard_normal(nets.cfg.latent_dim).astype(np.float32))
     print(f"generate_full {res}: {digest([gen])}")
+    if res == 64:
+        print(f"volume_write file {res}: {file_digest(lambda path: volume_write(path, gen))}")
     print(f"encode_full {res}: {digest([encode_full(nets, vol).z])}")
     print(f"extract_one {res}: {digest([FixedExtractor(input_res=res).extract_one(gen)])}")
     state = build_sr(SRConfig(hr_resolution=res), seed=res)
@@ -97,6 +117,7 @@ def inference_lines(res: int) -> None:
 def main() -> None:
     train_lines(32)
     state, vols = train_lines(64)
+    print(f"save_checkpoint file 64: {file_digest(lambda path: save_checkpoint(state, path))}")
     eval_logits(state, vols[0])
     sr_lines()
     for res in (64, 128):
