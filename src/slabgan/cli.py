@@ -255,6 +255,8 @@ def cmd_reconstruct(args) -> int:
     # a conditional model decodes each volume as the class labels.tsv gives it
     classes = (_volume_classes(args.input, names) if state.cfg.num_classes
                else [None] * len(names))
+    if state.cfg.num_classes:
+        _check_classes(classes, state.cfg.num_classes)
     out = _ensure_out(cfg)
     for name, vol, c in zip(names, vols, classes):
         rec = reconstruct(state.nets, vol, c=c)

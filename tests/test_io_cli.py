@@ -281,6 +281,14 @@ class TestReconstructConditional:
                      "--out", str(tmp_path / "rec")]) == 1
         assert "c.hagv" in capsys.readouterr().err
 
+    def test_class_outside_model_exit_1(self, setup, tmp_path, capsys):
+        ck, data = setup
+        self._write_labels(data, dict(self.LABELS, **{"c.hagv": 3}))
+        assert main(["reconstruct", "--checkpoint", str(ck), "--in", str(data),
+                     "--out", str(tmp_path / "rec")]) == 1
+        assert "[3]" in capsys.readouterr().err
+        assert not (tmp_path / "rec").exists()
+
 
 class TestTrainLabels:
     """``train --data`` reads ``labels.tsv`` only for a conditional model, and

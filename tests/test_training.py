@@ -3,10 +3,10 @@ isolation, the alternating step, checkpoints."""
 
 import json
 import struct
-from dataclasses import replace
 
 import numpy as np
 import pytest
+from dataclasses import replace
 
 from conftest import (HalfWrite, container_parts, finite_difference, pack_container,
                       pack_entry, rel_err)
